@@ -69,14 +69,13 @@ HAMMER_LOOP_FLOOR = 10.0
 
 #: acceptance floor on the batched multi-victim sweep.  The original goal
 #: was 5x, but that is unreachable without pessimizing the scalar
-#: reference; the damage-ledger rework and the compiled flat-probe
-#: replay kernel (DESIGN.md §12) land the honest measured ratio at
-#: ~2.6-2.8x at default scale.  The fast-side floor is per-unit
-#: translation plus the flip-realization epilogue, which only
-#: cross-unit vectorization of heterogeneous programs could amortize.
-#: The floor leaves headroom for slower CI hardware; DESIGN.md §11-12
-#: have the stage-by-stage cost breakdown (also emitted per run as the
-#: cell's ``stages_s`` field).
+#: reference; the damage-ledger rework (DESIGN.md §12) and captured-trace
+#: replay (DESIGN.md §11) land the honest measured ratio at ~2.6-2.8x
+#: at default scale.  The fast-side cost is trace replay itself
+#: plus per-unit translation and the flip-realization epilogue.  The
+#: floor leaves headroom for slower CI hardware; DESIGN.md §11-12 have
+#: the stage-by-stage cost breakdown (also emitted per run as the cell's
+#: ``stages_s`` field).
 HCFIRST_BATCH_FLOOR = 1.8
 
 #: --check fails when a cell's speedup falls below baseline/REGRESSION_FACTOR
@@ -264,9 +263,10 @@ def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
     ``measure_many_rowhammer_ds`` over every candidate victim against the
     same sweep with ``batch_probes=False`` (the exact scalar path, not a
     pessimized stand-in).  The scalar side is dominated by per-ACT
-    interpretation, which the compiled flat-probe kernel replaces with a
-    straight-line float program over ledger columns; the residue bounding
-    the ratio is per-unit translation plus the flip-realization epilogue.
+    interpretation, which captured-trace replay replaces with deposit-plan
+    applications over ledger columns; the residue bounding the ratio is
+    the replay itself, per-unit translation and the flip-realization
+    epilogue.
     The cell reports the fast side's per-stage split (``stages_s``, from
     ``session.probe_stage_s``) -- see DESIGN.md §11-12 for the measured
     breakdown.

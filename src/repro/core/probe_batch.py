@@ -24,10 +24,10 @@ Three pieces:
 
 * **Search engine** -- a faithful transcription of
   :func:`~repro.core.hcfirst.find_hc_first_repeated` whose per-victim
-  bracket state lives in numpy arrays (``lo``/``hi``/``phase``/``found``)
-  updated vectorized after each fused replay round.  Probe memoization and
-  bracket warm-starting across repeats are preserved, so probe outcomes
-  and histories match the scalar search probe for probe.
+  bracket state (``lo``/``hi``/``phase``) is updated unit by unit after
+  each fused replay.  Probe memoization and bracket warm-starting across
+  repeats are preserved, so probe outcomes and histories match the scalar
+  search probe for probe.
 
 * **Fused replay** -- one probe re-initializes only the rows its unit
   touches through the bank's copy-on-write
@@ -38,7 +38,11 @@ Three pieces:
   are *gaps* between same-probe timestamps, every slack is a multiple of
   the 1.5 ns bus cycle (exact in float64), and the probe-boundary tAggOff
   sign matches the scalar host's clock rewind via the restore sentinel --
-  hence bit identity.
+  hence bit identity.  The first probe of each loop shape runs this
+  pipeline under capture taps (``capture``); later probes of the shape
+  re-apply the captured trace op by op (``replay``), and a unit that is a
+  row shift of an earlier one starts from that unit's trace, translated
+  (``translate``).
 
 The planner proves equivalence per unit and degrades conservatively when
 it cannot:
@@ -78,7 +82,7 @@ from ..bender.compiler import CompiledStream, compile_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
 from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
 from ..disturbance.ledger import N_POOLS
-from ..disturbance.model import SYNERGY_HIT_WINDOW, classify_pattern
+from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
 from ..dram.errors import DramError
@@ -275,10 +279,6 @@ class _Trace:
     #: the prologue refreshes their version guard in place instead of
     #: letting each take a guard miss (and a pattern lookup) per probe
     prologue_meta: list = field(default_factory=list)
-    #: straight-line ledger program compiled from the prologue + hammer
-    #: segments (:class:`_FlatProbe`); None = not compiled yet, False =
-    #: ineligible (copy ops, unbounded touch escalation, ...)
-    flat: object = None
 
 
 def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
@@ -377,292 +377,6 @@ def _shift_plan_key(key: tuple, delta: int, pattern) -> tuple:
         r + delta for r in key[2]
     )
     return (key[0], key[1], target, key[3], pattern, shifted_tk)
-
-
-class _FlatProbe:
-    """Straight-line ledger program for one trace's prologue + segments.
-
-    ``_replay_probe_fast`` interprets the trace op-by-op: every probe
-    re-walks the same restores and deposit plans, re-deciding the same
-    synergy windows and re-summing the same touch guards.  All of that
-    is structurally constant across probes of one shape -- the only live
-    inputs are the probe count (through the scaled pass's
-    ``times = count - 1`` damage multiplier) and the hit/side ordinals
-    carried in from earlier probes.  The compiler symbolically executes
-    the prologue and hammer segments once and emits the *final* effect
-    per (slot, pool) as a short op stream; replay runs the streams and
-    writes the int bookkeeping in closed form, then hands the epilogue
-    (victim read-back, flip realization) to the interpreter unchanged.
-
-    Bit-identity: every float is produced by the same arithmetic ops in
-    the same order as the interpreter would execute them -- const terms
-    are folded at compile time with the identical add sequence, linear
-    terms recompute ``inc * (times / penalty)`` per application (with
-    ``penalty = 1.0`` for synergetic hits; ``x / 1.0 == x`` exactly),
-    and a slot wipe zeroes all :data:`N_POOLS` pools, which equals the
-    reference's order-only wipe because a pool absent from
-    ``pool_order`` is always exactly ``0.0``.
-
-    Synergy decisions whose "other side" ordinal predates the probe are
-    *carried*: they are resolved at replay time from the live
-    ``hits``/``side`` arrays (read before the closed-form finals are
-    applied, so they observe probe-start state exactly like the
-    interpreter's first applications would).
-
-    Replay preconditions (checked before any mutation; a miss returns
-    None and the caller falls back to the interpreter, which self-heals
-    versions and guards):
-
-    - ``count >= 2`` (the compile assumes warm + scaled passes run),
-    - no pending held-back session on the bank,
-    - every segment event entry's plan object and data version are the
-      ones the program was compiled against,
-    - every prologue row has a recorded close (steady write shape) and
-      snapshot-consistent data version,
-    - every mid-trace touch stays below the damage guard, via the
-      conservative bound ``const + coef * (count - 1) < 0.995``.
-    """
-
-    __slots__ = (
-        "entries", "prologue_rows", "touch_checks", "wiped_assigns",
-        "rmw_ops", "orders_replace", "orders_append", "wiped_slots",
-        "hit_finals", "touch_times", "preset_of",
-        "stats_const_items", "stats_linear_items",
-    )
-
-
-def _compile_flat(trace: _Trace, unit, timing) -> Optional["_FlatProbe"]:
-    """Symbolically execute ``trace``'s prologue + segments into a
-    :class:`_FlatProbe`, or None when an op defeats static analysis
-    (copy ops, touches of never-wiped rows, count-dependent retention
-    gaps, SiMRA entries without plans)."""
-    t_rp = timing.tRP
-    t_wr_at = write_data_at_ns(timing)
-    stride = write_stride_ns(timing)
-
-    entries: list = []
-    seen_entries: set = set()
-    hit_delta: dict = {}
-    side_rel: dict = {}
-    pools: dict = {}        # slot -> {pool: [stream elements]} post-wipe
-    pool_first: dict = {}   # slot -> first-use pool order post-wipe
-    wiped: set = set()
-    touch_checks: list = []
-    touch_times: dict = {}  # zip segment index -> {row: (scaled?, off)}
-    last_restore_rel: dict = {}  # row -> (const_ns, per-count_ns)
-
-    def wipe(slot: int) -> None:
-        pools[slot] = {}
-        pool_first[slot] = []
-        wiped.add(slot)
-
-    def sim_apply(plan: list, times: Optional[float]) -> None:
-        # ``times`` literal, or None for the scaled pass's ``count - 1``
-        for slot, side, p_dom, p_oth, inc_dom, inc_oth, pen in plan:
-            n = hit_delta.get(slot, 0) + 1
-            hit_delta[slot] = n
-            sr = side_rel.get(slot)
-            if sr is None:
-                sr = side_rel[slot] = [None, None]
-            carried = None
-            syn = True
-            if side is None:
-                sr[0] = n
-                sr[1] = n
-            else:
-                if side < 0:
-                    other = sr[1]
-                    sr[0] = n
-                    other_abs = slot + slot + 1
-                else:
-                    other = sr[0]
-                    sr[1] = n
-                    other_abs = slot + slot
-                if other is None:
-                    carried = (n, other_abs)
-                else:
-                    syn = n - other <= SYNERGY_HIT_WINDOW
-            slot_pools = pools.get(slot)
-            if slot_pools is None:
-                slot_pools = pools[slot] = {}
-                pool_first[slot] = []
-            first = pool_first[slot]
-            for pool, inc in ((p_dom, inc_dom), (p_oth, inc_oth)):
-                st = slot_pools.get(pool)
-                if st is None:
-                    st = slot_pools[pool] = []
-                if pool not in first:
-                    first.append(pool)
-                if times is None:
-                    if carried is not None:
-                        st.append((3, inc, pen, slot, carried[0], carried[1]))
-                    elif syn:
-                        st.append((1, inc, 1.0))
-                    else:
-                        st.append((1, inc, pen))
-                else:
-                    if carried is not None:
-                        st.append((2, inc * times, inc * (times / pen),
-                                   slot, carried[0], carried[1]))
-                    elif syn:
-                        st.append((0, inc * times))
-                    else:
-                        st.append((0, inc * (times / pen)))
-
-    snap_rows: set = set(unit.snapshot.rows)
-    image_patterns = unit.image_patterns
-    images = unit.snapshot.images
-    preset_of: dict = {}
-
-    def sim_ops(ops: list, bc: float, bk: float, si: int, scaled: bool) -> bool:
-        for op in ops:
-            tag = op[0]
-            if tag == "event":
-                entry = op[1]
-                if entry.plan is None:
-                    return False
-                if id(entry) not in seen_entries:
-                    seen_entries.add(id(entry))
-                    row0 = entry.row0
-                    # an entry whose pattern matches its row's snapshot
-                    # image stays valid across a prologue image restore
-                    # (the restore refreshes its version guard); other
-                    # entries pin the replay to an unchanged version
-                    image_ok = False
-                    if row0 in snap_rows:
-                        pat = image_patterns.get(row0)
-                        if pat is None and row0 not in image_patterns:
-                            pat = classify_pattern(images[row0])
-                            image_patterns[row0] = pat
-                        image_ok = entry.pattern == pat
-                        if image_ok:
-                            preset_of.setdefault(row0, []).append(entry)
-                    entries.append((entry, entry.plan, image_ok))
-                sim_apply(entry.plan, None if entry.scaled else entry.times)
-            elif tag == "touch":
-                row, off, slot, retention = op[1], op[2], op[3], op[4]
-                # only rows wiped earlier in the trace: their guard sum
-                # has no carried component, so the bound below is exact
-                if slot not in wiped:
-                    return False
-                lr = last_restore_rel.get(row)
-                if lr is None:
-                    return False
-                tc = bc + off
-                if bk - lr[1] != 0.0 or tc - lr[0] > 0.98 * retention:
-                    return False
-                cst = 0.0
-                coef = 0.0
-                for st in pools[slot].values():
-                    for el in st:
-                        kind = el[0]
-                        if kind == 0:
-                            cst += el[1]
-                        elif kind == 2:
-                            cst += el[1] if el[1] >= el[2] else el[2]
-                        elif el[2] >= 1.0:
-                            coef += el[1]
-                        else:
-                            coef += el[1] / el[2]
-                touch_checks.append((cst, coef))
-                wipe(slot)
-                last_restore_rel[row] = (tc, bk)
-                touch_times.setdefault(si, {})[row] = (scaled, off)
-            else:
-                return False
-        return True
-
-    # prologue: write events interleaved one row late, steady entries
-    # only (a replay precondition pins every row into last_close)
-    prologue_rows: list = []
-    c = 0.0
-    pending = None
-    for (row, slot, _preset), pair in zip(trace.prologue_meta, trace.prologue):
-        if pending is not None:
-            sim_apply(pending.plan, pending.times)
-        pending = pair[0]
-        if pending.plan is None:
-            return None
-        prologue_rows.append(row)
-        last_restore_rel[row] = (c + t_wr_at, 0.0)
-        wipe(slot)
-        c += stride
-    if pending is not None:
-        sim_apply(pending.plan, pending.times)
-
-    k = 0.0
-    for si, ((stream, fixed), (warm_ops, scaled_ops)) in enumerate(
-        zip(unit.loops, trace.segments)
-    ):
-        if fixed is not None and fixed <= 0:
-            continue
-        duration = stream.duration_ns
-        if not sim_ops(warm_ops, c, k, si, False):
-            return None
-        if fixed is None or fixed > 1:
-            if not sim_ops(scaled_ops, c + duration, k, si, True):
-                return None
-        if fixed is None:
-            k += duration
-        else:
-            c += duration * fixed
-
-    wiped_assigns: list = []
-    rmw_ops: list = []
-    for slot, slot_pools in pools.items():
-        base = slot * N_POOLS
-        if slot in wiped:
-            # a wipe zeroes the whole slot row (pools outside pool_order
-            # are already exactly 0.0), so every pool gets an assign;
-            # the leading const adds fold into the assigned value with
-            # the interpreter's own add sequence
-            for pool in range(N_POOLS):
-                st = slot_pools.get(pool, ())
-                prefix = 0.0
-                j = 0
-                while j < len(st) and st[j][0] == 0:
-                    prefix = prefix + st[j][1]
-                    j += 1
-                wiped_assigns.append((base + pool, prefix, tuple(st[j:])))
-        else:
-            for pool, st in slot_pools.items():
-                rmw_ops.append((base + pool, tuple(st)))
-
-    flat = _FlatProbe()
-    flat.entries = tuple(entries)
-    flat.prologue_rows = tuple(prologue_rows)
-    flat.touch_checks = tuple(touch_checks)
-    flat.wiped_assigns = tuple(wiped_assigns)
-    flat.rmw_ops = tuple(rmw_ops)
-    flat.orders_replace = tuple(
-        (slot, tuple(pool_first[slot])) for slot in pools if slot in wiped
-    )
-    flat.orders_append = tuple(
-        (slot, tuple(pool_first[slot]))
-        for slot in pools
-        if slot not in wiped and pool_first[slot]
-    )
-    flat.wiped_slots = tuple(wiped)
-    flat.hit_finals = tuple(
-        (
-            slot,
-            n,
-            tuple(
-                (slot + slot + s, rel)
-                for s, rel in enumerate(side_rel.get(slot, ()))
-                if rel is not None
-            ),
-        )
-        for slot, n in hit_delta.items()
-    )
-    flat.touch_times = {
-        si: tuple((row, sf, off) for row, (sf, off) in rows.items())
-        for si, rows in touch_times.items()
-    }
-    flat.preset_of = {row: tuple(es) for row, es in preset_of.items()}
-    flat.stats_const_items = tuple(trace.stats_const.items())
-    flat.stats_linear_items = tuple(trace.stats_linear.items())
-    return flat
 
 
 def _shape_signature(
@@ -946,7 +660,7 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     )
 
 
-#: search phases held in the vectorized state
+#: search phases held in the per-unit bracket state
 _PHASE_DOUBLING = 0
 _PHASE_BISECT = 1
 
@@ -986,9 +700,6 @@ class BatchedSearchEngine:
         #: metrics registry; the default no-op registry keeps the probe
         #: loop overhead at one empty method call per probe
         self.obs = obs if obs is not None else NULL_OBS
-        #: why the last flat replay attempt bailed (set by
-        #: :meth:`_replay_probe_flat` before each ``return None``)
-        self._flat_miss: Optional[str] = None
         module = setups[0].module
         bank_index = setups[0].bank
         for setup in setups:
@@ -1049,11 +760,10 @@ class BatchedSearchEngine:
             else:
                 reps.append(i)
 
-        # vectorized bracket state
-        self.lo = np.zeros(n, dtype=np.int64)
-        self.hi = np.zeros(n, dtype=np.int64)
-        self.phase = np.zeros(n, dtype=np.int8)
-        self.found = np.zeros(n, dtype=bool)
+        # per-unit bracket state (plain ints, as in find_hc_first)
+        self.lo = [0] * n
+        self.hi = [0] * n
+        self.phase = [_PHASE_DOUBLING] * n
 
         self.clock = 0.0
 
@@ -1107,7 +817,6 @@ class BatchedSearchEngine:
             book.done = True
             assert book.best is not None
             self.results[i] = book.best
-            self.found[i] = book.best.found
         else:
             self._start_repeat(i)
 
@@ -1121,13 +830,13 @@ class BatchedSearchEngine:
         book = self.books[i]
         while not book.done:
             if self.phase[i] == _PHASE_DOUBLING:
-                count = int(self.hi[i])
+                count = self.hi[i]
             else:
-                span = int(self.hi[i] - self.lo[i])
+                span = self.hi[i] - self.lo[i]
                 if not (span > 1 and span > self.convergence * self.hi[i]):
                     self._finish_repeat(i, found=True)
                     continue
-                count = int((self.lo[i] + self.hi[i]) // 2)
+                count = (self.lo[i] + self.hi[i]) // 2
             cached = book.cache.get(count)
             if cached is None:
                 return count
@@ -1137,7 +846,7 @@ class BatchedSearchEngine:
         return None
 
     def _apply_single(self, i: int, flips: int) -> None:
-        """Scalar bracket update for one probe outcome (cache-hit path)."""
+        """Bracket update for one probe outcome (fresh or cached)."""
         if self.phase[i] == _PHASE_DOUBLING:
             if flips:
                 self.phase[i] = _PHASE_BISECT
@@ -1146,50 +855,13 @@ class BatchedSearchEngine:
                 if self.hi[i] >= self.max_hammers:
                     self._finish_repeat(i, found=False)
                 else:
-                    self.hi[i] = min(self.max_hammers, int(self.hi[i]) * 4)
+                    self.hi[i] = min(self.max_hammers, self.hi[i] * 4)
         else:
-            mid = int((self.lo[i] + self.hi[i]) // 2)
+            mid = (self.lo[i] + self.hi[i]) // 2
             if flips:
                 self.hi[i] = mid
             else:
                 self.lo[i] = mid
-
-    def _apply_round(
-        self, idxs: list[int], flips: list[int]
-    ) -> None:
-        """Bracket update after one fused replay round.
-
-        The per-victim bracket state lives in numpy arrays either way;
-        the vectorized update only pays off once a round carries enough
-        members to amortize the array dispatch overhead.
-        """
-        if len(idxs) < 8:
-            for position, i in enumerate(idxs):
-                self._apply_single(i, flips[position])
-            return
-        sel = np.asarray(idxs, dtype=np.intp)
-        flipped = np.asarray(flips, dtype=np.int64) > 0
-        phase = self.phase[sel]
-        lo = self.lo[sel]
-        hi = self.hi[sel]
-        doubling = phase == _PHASE_DOUBLING
-        bisect = ~doubling
-        mid = (lo + hi) // 2
-        miss = doubling & ~flipped
-        capped = miss & (hi >= self.max_hammers)
-        new_phase = np.where(doubling & flipped, _PHASE_BISECT, phase)
-        new_lo = np.where(miss, hi, np.where(bisect & ~flipped, mid, lo))
-        new_hi = np.where(
-            miss & ~capped,
-            np.minimum(self.max_hammers, hi * 4),
-            np.where(bisect & flipped, mid, hi),
-        )
-        self.phase[sel] = new_phase
-        self.lo[sel] = new_lo
-        self.hi[sel] = new_hi
-        for position, i in enumerate(idxs):
-            if capped[position]:
-                self._finish_repeat(i, found=False)
 
     # -- fused replay ----------------------------------------------------
     def _probe(self, i: int, count: int) -> ProbeResult:
@@ -1213,22 +885,7 @@ class BatchedSearchEngine:
             trace = unit.traces.get(sig)
             if trace is not None:
                 if trace.temperature_c == bank.temperature_c:
-                    flat = trace.flat
-                    if flat is None:
-                        flat = _compile_flat(trace, unit, self.module.timing)
-                        trace.flat = flat if flat is not None else False
-                    if flat:
-                        result = self._replay_probe_flat(
-                            i, count, trace, flat
-                        )
-                        if result is not None:
-                            obs.inc("probe.probes", path="flat")
-                            return result
-                        obs.inc("probe.probes", path="interp",
-                                reason=self._flat_miss or "unknown")
-                    else:
-                        obs.inc("probe.probes", path="interp",
-                                reason="flat_uncompilable")
+                    obs.inc("probe.probes", path="replay")
                     return self._replay_probe_fast(i, count, trace)
                 unit.traces.clear()
             donor = self._donor[i]
@@ -1258,7 +915,7 @@ class BatchedSearchEngine:
                             timers.get("translate", 0.0) + perf_counter() - t0
                         )
                     unit.traces[sig] = trace
-                    obs.inc("probe.probes", path="interp", reason="translated")
+                    obs.inc("probe.probes", path="translate")
                     return self._replay_probe_fast(i, count, trace)
             obs.inc("probe.probes", path="capture")
             timers = self.stage_s
@@ -1768,251 +1425,6 @@ class BatchedSearchEngine:
             entry.version = version
         bank.model._apply_plan(entry.plan, times)
 
-    def _replay_probe_flat(
-        self, i: int, count: int, trace: _Trace, flat: _FlatProbe
-    ) -> Optional[ProbeResult]:
-        """Replay a probe through its compiled ledger program.
-
-        Bit-identical to :meth:`_replay_probe_fast` on the same trace by
-        construction (see :class:`_FlatProbe`); returns None when a
-        replay precondition misses -- recording which guard missed in
-        ``self._flat_miss`` -- in which case the caller runs the
-        interpreter (which self-heals the guards for the next probe).
-        """
-        if count < 2:
-            self._flat_miss = "count_lt_2"
-            return None
-        bank = self.bank
-        if bank._pending is not None:
-            self._flat_miss = "pending_session"
-            return None
-        unit = self.units[i]
-        assert unit is not None
-        bank_versions = bank._data_version
-        dv_get = bank_versions.get
-        snapshot = unit.snapshot
-        versions = snapshot.versions
-        last_close = bank._last_close
-        need = None
-        for row in flat.prologue_rows:
-            if row not in last_close:
-                self._flat_miss = "no_recorded_close"
-                return None
-            if dv_get(row, 0) != versions.get(row):
-                if need is None:
-                    need = [row]
-                else:
-                    need.append(row)
-        for e, p, image_ok in flat.entries:
-            if e.plan is not p:
-                # a pattern move re-resolved this entry's plan after the
-                # compile; drop the program and recompile next probe
-                trace.flat = None
-                self._flat_miss = "plan_moved"
-                return None
-            if need is not None and e.row0 in need:
-                # the prologue image restore below revalidates it
-                if not image_ok:
-                    self._flat_miss = "version_guard"
-                    return None
-            elif dv_get(e.row0, 0) != e.version:
-                self._flat_miss = "version_guard"
-                return None
-        t = count - 1.0
-        for cst, coef in flat.touch_checks:
-            if cst + coef * t >= 0.995:
-                self._flat_miss = "touch_guard"
-                return None
-        timers = self.stage_s
-        t_stage = perf_counter() if timers is not None else 0.0
-        if need is not None:
-            # the interpreter prologue's restore branch: put the image
-            # back and refresh the version guards of image-patterned
-            # entries (other entries re-guard through _fast_event)
-            images = snapshot.images
-            preset_of = flat.preset_of
-            for row in need:
-                bank._row_data(row)[:] = images[row]
-                bank._bump_version(row)
-                version = bank_versions[row]
-                versions[row] = version
-                for entry in preset_of.get(row, ()):
-                    entry.version = version
-        model = bank.model
-        led = model.ledger
-        dmg = led.dmg
-        hits_mv = led.hits_mv
-        side_mv = led.side_mv
-        # float program: carried synergy decisions read the pre-probe
-        # hits/side ordinals, so they run before the int finals below
-        for idx, x, rest in flat.wiped_assigns:
-            for el in rest:
-                kind = el[0]
-                if kind == 1:
-                    x = x + el[1] * (t / el[2])
-                elif kind == 0:
-                    x = x + el[1]
-                elif kind == 2:
-                    x = x + (
-                        el[1]
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    )
-                else:
-                    x = x + el[1] * (t / (
-                        1.0
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    ))
-            dmg[idx] = x
-        for idx, st in flat.rmw_ops:
-            x = dmg[idx]
-            for el in st:
-                kind = el[0]
-                if kind == 1:
-                    x = x + el[1] * (t / el[2])
-                elif kind == 0:
-                    x = x + el[1]
-                elif kind == 2:
-                    x = x + (
-                        el[1]
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    )
-                else:
-                    x = x + el[1] * (t / (
-                        1.0
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    ))
-            dmg[idx] = x
-        pool_order = led.pool_order
-        for slot, pl in flat.orders_replace:
-            order = pool_order[slot]
-            if order:
-                order.clear()
-            if pl:
-                order.extend(pl)
-        for slot, pl in flat.orders_append:
-            order = pool_order[slot]
-            for p in pl:
-                if p not in order:
-                    order.append(p)
-        flips_mv = led.flips_mv
-        flipped = led.flipped
-        for slot in flat.wiped_slots:
-            s2 = slot + slot
-            flips_mv[s2] = 0
-            flips_mv[s2 + 1] = 0
-            cells = flipped[slot]
-            if cells:
-                cells.clear()
-        for slot, n, sides in flat.hit_finals:
-            h0 = hits_mv[slot]
-            hits_mv[slot] = h0 + n
-            for ai, rel in sides:
-                side_mv[ai] = h0 + rel
-        # time bookkeeping, with the interpreter's exact float sequences
-        timing = self.module.timing
-        t_rp = timing.tRP
-        t_wr_at = write_data_at_ns(timing)
-        stride = write_stride_ns(timing)
-        last_restore = bank._last_restore
-        frac = bank._frac
-        tt = self.clock
-        for row in flat.prologue_rows:
-            last_restore[row] = tt + t_wr_at
-            frac.discard(row)
-            last_close[row] = tt + stride
-            tt += stride
-        victim = unit.victim
-        victim_version = (
-            dv_get(victim, 0) if trace.flips_by_version else None
-        )
-        touch_times = flat.touch_times
-        for si, (stream, fixed) in enumerate(unit.loops):
-            loop_count = count if fixed is None else fixed
-            if loop_count <= 0:
-                continue
-            rows = touch_times.get(si)
-            if rows is not None:
-                duration = stream.duration_ns
-                scaled_base = tt + duration
-                for row, sf, off in rows:
-                    last_restore[row] = (scaled_base if sf else tt) + off
-            tt = tt + stream.duration_ns * loop_count
-        # epilogue: the interpreter's op loop verbatim (victim flush and
-        # read-back can realize flips, which the program cannot express)
-        apply_plan = model._apply_plan
-        fast_event = self._fast_event
-        restore_full = bank._restore_row
-        for op in trace.epilogue:
-            tag = op[0]
-            if tag == "event":
-                entry = op[1]
-                times = t if entry.scaled else entry.times
-                if dv_get(entry.row0, 0) == entry.version:
-                    apply_plan(entry.plan, times)
-                else:
-                    fast_event(entry, times)
-            elif tag == "touch":
-                row = op[1]
-                tcur = tt + op[2]
-                last = last_restore.get(row)
-                if last is not None and tcur - last > op[4]:
-                    restore_full(row, tcur)
-                    continue
-                slot = op[3]
-                order = pool_order[slot]
-                if order:
-                    pool_base = slot * N_POOLS
-                    total = 0.0
-                    for pool in order:
-                        total += dmg[pool_base + pool]
-                    if total >= 0.999:
-                        restore_full(row, tcur)
-                        continue
-                    for pool in order:
-                        dmg[pool_base + pool] = 0.0
-                    order.clear()
-                s2 = slot + slot
-                flips_mv[s2] = 0
-                flips_mv[s2 + 1] = 0
-                cells = flipped[slot]
-                if cells:
-                    cells.clear()
-                last_restore[row] = tcur
-            else:  # copy
-                bank._row_data(op[2])[:] = bank._row_data(op[1])
-                bank._bump_version(op[2])
-        if (
-            victim_version is not None
-            and dv_get(victim, 0) == victim_version
-        ):
-            flips = 0
-        else:
-            flips = count_flips(bank._row_data(victim), unit.expected)
-        t_close = tt + t_rp + timing.tRAS
-        last_close[victim] = t_close
-        bank._last_pre_ns = t_close
-        stats = bank.stats
-        for key, value in flat.stats_const_items:
-            stats[key] += value
-        for key, value in flat.stats_linear_items:
-            stats[key] += value * (count - 1)
-        self.clock = t_close
-        if timers is not None:
-            timers["replay_kernel"] = (
-                timers.get("replay_kernel", 0.0) + perf_counter() - t_stage
-            )
-        return ProbeResult(
-            count, flips, (victim,) if flips else ()
-        )
-
     def _replay_probe_fast(
         self, i: int, count: int, trace: _Trace
     ) -> ProbeResult:
@@ -2205,7 +1617,6 @@ class BatchedSearchEngine:
             initial_guess=self.initial_guess,
         )
         self.books[i].done = True
-        self.found[i] = self.results[i].found
 
     def run(self) -> list[HcFirstResult]:
         if self.global_fallback:
@@ -2236,14 +1647,12 @@ class BatchedSearchEngine:
                     break
             if not round_idxs:
                 break
-            flips: list[int] = []
             for i, count in zip(round_idxs, round_counts):
                 book = self.books[i]
                 result = self._probe(i, count)
                 book.cache[count] = result
                 book.history.append(result)
-                flips.append(result.flips)
-            self._apply_round(round_idxs, flips)
+                self._apply_single(i, result.flips)
         assert all(result is not None for result in self.results)
         return self.results  # type: ignore[return-value]
 

@@ -19,7 +19,7 @@ is looking.  Hence two implementations of one interface:
   one empty call.  :data:`NULL_OBS` is the shared singleton default.
 
 Call sites hold a reference (``self.obs = obs or NULL_OBS``) and guard
-nothing: ``obs.inc("probe.probes", path="flat")`` is safe and near-free
+nothing: ``obs.inc("probe.probes", path="replay")`` is safe and near-free
 either way.  ``obs.enabled`` exists for the rare site that would have to
 *build* something expensive just to record it.
 
@@ -45,7 +45,7 @@ def _label_key(labels: dict) -> tuple:
 
 
 def format_labels(key: tuple) -> str:
-    """``(("path", "flat"),)`` -> ``"path=flat"``; ``()`` -> ``""``."""
+    """``(("path", "replay"),)`` -> ``"path=replay"``; ``()`` -> ``""``."""
     return ",".join(f"{k}={v}" for k, v in key)
 
 
