@@ -25,7 +25,7 @@ from repro.core import CharacterizationSession, patterns
 def _damage_after(scaled: bool, count: int) -> tuple[float, float]:
     module = make_module("hynix-a-8gb")
     victim = 2 * 96 + 40
-    host = DramBenderHost(module, scale_loops=scaled)
+    host = DramBenderHost(module, interpret=not scaled)
     program = patterns.double_sided_rowhammer(module, victim, count)
     start = time.perf_counter()
     host.run(program)

@@ -11,8 +11,8 @@ interpretation):
 * ``hcfirst_search`` -- five-repeat HC_first measurement, memoized +
   bracket-warm-started vs five independent cold searches.
 * ``gauntlet_cell`` -- one attack-gauntlet cell (synchronized attack
-  under sampling TRR) with ``DramBenderHost.default_compile_streams``
-  toggled, i.e. the end-to-end attack_surface hot path.
+  under sampling TRR) with every host it builds on the interpreting
+  reference or not, i.e. the end-to-end attack_surface hot path.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
   engine (``measure_many_*``) against the scalar per-victim session
   loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -91,13 +92,32 @@ def _timeit(fn, repeats: int) -> float:
     return best
 
 
+@contextmanager
+def _reference_hosts():
+    """Build every ``DramBenderHost`` inside the block with ``interpret=True``.
+
+    For cells whose hosts are constructed by library code (``run_cell``,
+    ``execute_workload``'s ``PudEngine``) rather than by the bench.
+    """
+    init = DramBenderHost.__init__
+
+    def reference_init(self, *args, **kwargs):
+        init(self, *args, interpret=True, **kwargs)
+
+    DramBenderHost.__init__ = reference_init
+    try:
+        yield
+    finally:
+        DramBenderHost.__init__ = init
+
+
 def bench_hammer_loop(smoke: bool, repeats: int) -> dict:
     count = 20_000 if smoke else 120_000
 
     def run(fast: bool) -> None:
         module = make_module(CONFIG)
         module.attach_trr(SamplingTrr(seed=0))
-        host = DramBenderHost(module, scale_loops=fast, compile_streams=fast)
+        host = DramBenderHost(module, interpret=not fast)
         host.run(patterns.double_sided_rowhammer(module, VICTIM, count))
 
     fast_s = _timeit(lambda: run(True), repeats)
@@ -144,13 +164,9 @@ def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
     act_budget = spec.acts_per_round * (4 if smoke else 16)
 
     def run(fast: bool) -> None:
-        previous = DramBenderHost.default_compile_streams
-        DramBenderHost.default_compile_streams = fast
-        try:
+        with nullcontext() if fast else _reference_hosts():
             run_cell(CONFIG, spec, "sampling-trr", act_budget,
                      stop_after_first_flip=False)
-        finally:
-            DramBenderHost.default_compile_streams = previous
 
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
@@ -249,7 +265,8 @@ def bench_pud_reliability(smoke: bool, repeats: int) -> dict:
     def run(fast: bool) -> None:
         module = make_module(CONFIG)
         workload = build_workloads(module, reps, include=["memcpy-sweep"])[0]
-        execute_workload(module, workload, build_defense("none"), fast=fast)
+        with nullcontext() if fast else _reference_hosts():
+            execute_workload(module, workload, build_defense("none"))
 
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))

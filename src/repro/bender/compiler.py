@@ -12,12 +12,12 @@ This module mirrors that split for the simulated pipeline:
   without any per-command dataclass dispatch.
 
 * :func:`build_plan` turns a whole :class:`TestProgram` into an execution
-  plan.  Periodic prefixes of flat ACT/PRE runs (the shape every hammer
-  window has: ``k`` repetitions of the same ACT/PRE period) become
-  :class:`ChunkStep`\\ s, which the host executes as *one warm-up period
-  plus one period scaled by* ``k - 1`` -- the same trick the scaled loop
-  path uses, but applicable per-run inside REF-delimited windows, so it
-  composes with an attached TRR hook (see ``DramBenderHost``).
+  plan.  Every top-level ``Loop`` whose body compiles, and every periodic
+  prefix of a flat ACT/PRE run (the shape every hammer window has: ``k``
+  repetitions of the same ACT/PRE period), becomes a :class:`ChunkStep`,
+  which the host executes as *one warm-up period plus one period scaled
+  by* ``k - 1``.  Chunks of flat runs are REF-delimited, so they compose
+  with an attached TRR hook (see ``DramBenderHost``).
 
 A period is only chunkable when it opens with an ACT and closes with a
 PRE: then the bank is precharged at every chunk boundary and the session
@@ -79,9 +79,10 @@ class RunStep:
 class ChunkStep:
     """Execute ``count`` repetitions of ``stream`` as a scaled chunk.
 
-    ``instructions`` keeps the covered program slice so the host can fall
-    back to interpretation when the attached hook cannot take a batched
-    ACT stream (e.g. PRAC back-off must fire mid-window).
+    ``instructions`` keeps the covered program slice (the ``Loop`` itself
+    for a lowered loop) so the host can fall back to interpretation when
+    the attached hook cannot take a batched ACT stream (e.g. PRAC back-off
+    must fire mid-window).
     """
 
     stream: CompiledStream
@@ -89,7 +90,7 @@ class ChunkStep:
     instructions: tuple
 
 
-PlanStep = Union[RunStep, ChunkStep, Loop]
+PlanStep = Union[RunStep, ChunkStep]
 
 
 def compile_stream(
@@ -237,7 +238,7 @@ def _plan_run(
 
 
 def build_plan(program: TestProgram, module) -> list:
-    """Lower a program into a plan of Run / Chunk / Loop steps."""
+    """Lower a program into a plan of Run / Chunk steps."""
     steps: list = []
     raw: list = []
 
@@ -251,11 +252,13 @@ def build_plan(program: TestProgram, module) -> list:
     n = len(instructions)
     while i < n:
         instr = instructions[i]
-        if isinstance(instr, Loop):
-            flush_raw()
-            steps.append(instr)
-            i += 1
-            continue
+        if isinstance(instr, Loop) and instr.count:
+            stream = compile_stream(instr.body, module)
+            if stream is not None:
+                flush_raw()
+                steps.append(ChunkStep(stream, instr.count, (instr,)))
+                i += 1
+                continue
         if not isinstance(instr, (Act, Pre)):
             raw.append(instr)
             i += 1

@@ -9,51 +9,39 @@ streams into a DIMM:
 * read data is collected into the program result,
 * execution time is tracked in nanoseconds.
 
-Three execution paths (see DESIGN.md, "Execution engine"):
+Two execution paths (see DESIGN.md, "Execution engine"):
 
 * **unrolled** -- per-instruction interpretation; always correct, always
-  available, and the reference the other two are tested against.
-* **scaled** -- a ``Loop`` body executes twice: once to warm up
-  interleaving state (synergy windows, tAggOff gaps), once with the fault
-  model's ``times`` multiplier carrying the remaining iterations, and the
-  clock jumps over the skipped duration.  Valid because damage accrual is
-  linear in the iteration count and the body's *functional* effects
-  (copies, majority writes) reach a fixpoint after one iteration.
-  Refused when a TRR hook is attached or the body contains RD/WR/REF.
-* **compiled-chunked** -- periodic ACT/PRE stretches (a ``Loop`` body or a
-  periodic run inside a flat program) are lowered once by
-  :mod:`repro.bender.compiler` into a command stream and executed with
-  the same warm-up + scaled two-pass trick, but *per REF-delimited
-  stretch*, which is what makes it compose with an attached TRR hook:
-  between TRR-capable REFs the sampler's observable state depends only on
-  the ACT sequence, so per-ACT callbacks are suppressed during the two
-  passes and the hook receives one batched
-  ``on_act_stream(bank, rows, times)`` that reproduces the exact buffer
-  state sequential ``on_act`` calls would have left.  Hooks without
-  ``on_act_stream`` (e.g. PRAC, whose back-off fires mid-stretch) fall
-  back to the unrolled path automatically.
+  available, and the reference the compiled path is tested against
+  (``DramBenderHost(module, interpret=True)`` runs nothing else).
+* **compiled-chunked** -- periodic ACT/PRE stretches (a top-level
+  ``Loop`` whose body compiles, or a periodic run inside a flat program)
+  are lowered once by :mod:`repro.bender.compiler` into a command stream
+  and executed as one warm-up period plus one period whose damage the
+  fault model's ``times`` multiplier scales by the remaining repetitions;
+  the clock jumps over the skipped duration.  Valid because damage
+  accrual is linear in the repetition count and a period's *functional*
+  effects (copies, majority writes) reach a fixpoint after one
+  repetition.  Chunks are REF-delimited, which is what makes them
+  compose with an attached TRR hook: between TRR-capable REFs the
+  sampler's observable state depends only on the ACT sequence, so
+  per-ACT callbacks are suppressed during the two passes and the hook
+  receives one batched ``on_act_stream(bank, rows, times)`` that
+  reproduces the exact buffer state sequential ``on_act`` calls would
+  have left.  Hooks without ``on_act_stream`` (e.g. PRAC, whose back-off
+  fires mid-stretch) fall back to the unrolled path automatically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..dram.module import DramModule
 from ..obs import NULL_OBS
-from .compiler import (
-    ChunkStep,
-    CompiledStream,
-    RunStep,
-    build_plan,
-    compile_stream,
-)
+from .compiler import ChunkStep, CompiledStream, build_plan
 from .program import Act, Instruction, Loop, Nop, Pre, Rd, Ref, TestProgram, Wr
-
-#: cache sentinel for loop bodies that do not lower to a stream
-_NO_STREAM = object()
 
 
 def write_stride_ns(timing) -> float:
@@ -119,30 +107,22 @@ class ProgramResult:
 class DramBenderHost:
     """Executes test programs against one simulated module."""
 
-    #: Loop bodies at or above this iteration count use the scaled path.
-    SCALE_THRESHOLD = 3
-    #: default for the ``compile_streams`` constructor argument; benchmarks
-    #: flip this to force interpretation in code they don't construct.
-    default_compile_streams = True
-    #: plans/streams cached per host before the caches reset
+    #: plans cached per host before the cache resets
     _CACHE_MAX = 64
 
     def __init__(
         self,
         module: DramModule,
-        scale_loops: bool = True,
         enforce_refresh_window: bool = False,
-        compile_streams: Optional[bool] = None,
         obs=None,
+        *,
+        interpret: bool = False,
     ) -> None:
         self.module = module
-        self.scale_loops = scale_loops
         self.enforce_refresh_window = enforce_refresh_window
-        self.compile_streams = (
-            self.default_compile_streams
-            if compile_streams is None
-            else compile_streams
-        )
+        #: interpret every instruction (the reference host the equivalence
+        #: suites compare the compiled path against)
+        self.interpret = interpret
         #: metrics registry counting which execution path each loop/chunk
         #: took (``host.loops{path=...}`` / ``host.chunks{path=...}``);
         #: recorded per loop, never per command, so the disabled default
@@ -155,7 +135,6 @@ class DramBenderHost:
         # a program's instruction list between runs -- nothing in the
         # repo does.
         self._plans: dict[int, tuple[TestProgram, list]] = {}
-        self._loop_streams: dict[Loop, object] = {}
 
     # ------------------------------------------------------------------
     def run(self, program: TestProgram) -> ProgramResult:
@@ -172,10 +151,10 @@ class DramBenderHost:
                 raise RuntimeError(message)
             result.warnings.append(message)
 
-        if self.compile_streams:
-            self._execute_plan(self._plan_for(program), result)
-        else:
+        if self.interpret:
             self._execute(program.instructions, result)
+        else:
+            self._execute_plan(self._plan_for(program), result)
         self._flush_banks()
         result.end_ns = self.now_ns
         return result
@@ -200,13 +179,10 @@ class DramBenderHost:
 
     def _execute_plan(self, plan: list, result: ProgramResult) -> None:
         for step in plan:
-            cls = step.__class__
-            if cls is RunStep:
-                self._execute(step.instructions, result)
-            elif cls is ChunkStep:
+            if step.__class__ is ChunkStep:
                 self._execute_chunk(step, result)
-            else:  # Loop
-                self._execute_loop(step, result)
+            else:  # RunStep
+                self._execute(step.instructions, result)
 
     def _execute_chunk(self, step: ChunkStep, result: ProgramResult) -> None:
         stream = step.stream
@@ -265,16 +241,6 @@ class DramBenderHost:
             trr.on_act_stream(stream.bank, stream.act_rows, count)
         self.now_ns = base + stream.duration_ns * count
 
-    def _loop_stream(self, loop: Loop) -> Optional[CompiledStream]:
-        cached = self._loop_streams.get(loop)
-        if cached is not None:
-            return None if cached is _NO_STREAM else cached
-        stream = compile_stream(loop.body, self.module)
-        if len(self._loop_streams) >= self._CACHE_MAX:
-            self._loop_streams.clear()
-        self._loop_streams[loop] = _NO_STREAM if stream is None else stream
-        return stream
-
     # ------------------------------------------------------------------
     def _execute(self, instructions, result: ProgramResult) -> None:
         for instr in instructions:
@@ -284,66 +250,9 @@ class DramBenderHost:
                 self._step(instr, result)
 
     def _execute_loop(self, loop: Loop, result: ProgramResult) -> None:
-        if loop.count == 0:
-            return
-        if self._can_scale(loop):
-            self.obs.inc("host.loops", path="scaled")
-            # Warm-up pass establishes steady-state interleaving (synergy
-            # windows, tAggOff gaps), then one pass carries the remaining
-            # iterations' damage at once.
-            self._execute(loop.body, result)
-            if loop.count == 1:
-                return
-            remaining = loop.count - 1
-            banks = self.module.banks
-            saved = [bank.event_times for bank in banks]
-            before = [dict(bank.stats) for bank in banks]
-            for bank, times in zip(banks, saved):
-                bank.event_times = times * remaining
-            try:
-                self._execute(loop.body, result)
-            finally:
-                for bank, times in zip(banks, saved):
-                    bank.event_times = times
-            if loop.count > 2:
-                # the scaled pass carried the remaining iterations' damage
-                # but counted one body's worth of commands; top up the
-                # counters with the skipped repetitions
-                for bank, snapshot in zip(banks, before):
-                    for key, value in snapshot.items():
-                        delta = bank.stats[key] - value
-                        if delta:
-                            bank.stats[key] += delta * (loop.count - 2)
-            # two passes already advanced 2 * body_ns; account for the rest
-            self.now_ns += loop.body_duration_ns * (loop.count - 2)
-            return
-        if self.scale_loops and self.compile_streams:
-            stream = self._loop_stream(loop)
-            if stream is not None:
-                bank = self.module.bank(stream.bank)
-                trr = bank.trr
-                if trr is None or hasattr(trr, "on_act_stream"):
-                    self.obs.inc("host.loops", path="stream")
-                    self._run_stream(bank, stream, loop.count)
-                    return
         self.obs.inc("host.loops", path="unrolled")
         for _ in range(loop.count):
             self._execute(loop.body, result)
-
-    def _can_scale(self, loop: Loop) -> bool:
-        if not self.scale_loops or loop.count < self.SCALE_THRESHOLD:
-            return False
-        if any(bank.trr is not None for bank in self.module.banks):
-            return False
-        return self._body_is_scalable(loop.body)
-
-    def _body_is_scalable(self, body) -> bool:
-        for instr in body:
-            if isinstance(instr, (Rd, Wr, Ref)):
-                return False
-            if isinstance(instr, Loop) and not self._body_is_scalable(instr.body):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     def _step(self, instr: Instruction, result: ProgramResult) -> None:

@@ -33,7 +33,7 @@ Three pieces:
   touches through the bank's copy-on-write
   :meth:`~repro.dram.bank.Bank.restore_rows`, then replays the hammer
   loops as pre-compiled command streams (warm pass + one pass scaled by
-  ``count - 1``, the same two-pass trick as the host's scaled path) and
+  ``count - 1``, the same two-pass trick as the host's compiled chunks) and
   reads the victim back at nominal timing.  All model-visible quantities
   are *gaps* between same-probe timestamps, every slack is a multiple of
   the 1.5 ns bus cycle (exact in float64), and the probe-boundary tAggOff

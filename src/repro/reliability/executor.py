@@ -3,9 +3,9 @@
 ``execute_workload`` runs one workload on a fresh module: payload data is
 placed through the command interface (every write registered with the
 oracle), each kernel's ideal result is computed from the shadow *before*
-its programs run, the programs execute through the scaled/compiled host
-path, the defense's post-kernel hook gets a chance to detect and repair,
-and the oracle checkpoint classifies whatever survived.  ACT counts and
+its programs run, the programs execute through the compiled host path,
+the defense's post-kernel hook gets a chance to detect and repair, and
+the oracle checkpoint classifies whatever survived.  ACT counts and
 the command clock are sampled around the run so defense overhead is
 measured with the same instruments as the workload itself.
 
@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..bender.host import DramBenderHost
 from ..bender.program import Loop, TestProgram
 from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.module import DramModule
@@ -117,11 +116,9 @@ def execute_workload(
     workload: Workload,
     defense: Defense,
     bank: int = 0,
-    fast: bool = True,
 ) -> WorkloadOutcome:
     """Run one workload under one defense; classify and account everything."""
     engine = PudEngine(module, bank)
-    engine.host = DramBenderHost(module, scale_loops=fast, compile_streams=fast)
     oracle = CorruptionOracle(module, bank)
     outcome = DefenseOutcome()
     corrector = defense.corrector()
@@ -228,7 +225,6 @@ def evaluate_reliability(
     defenses: Sequence[str] = ("none", "ecc-sec", "verify-retry", "guard-rows"),
     workloads: Optional[Sequence[str]] = None,
     bank: int = 0,
-    fast: bool = True,
     system_horizon_ns: float = 60_000.0,
 ) -> ReliabilityResult:
     """Coverage and overhead of every requested defense on one config.
@@ -258,7 +254,7 @@ def evaluate_reliability(
                 continue
             defense = build_defense(name)
             summary.add(
-                execute_workload(module, built[0], defense, bank, fast)
+                execute_workload(module, built[0], defense, bank)
             )
         result.summaries[name] = summary
 

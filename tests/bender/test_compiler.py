@@ -8,7 +8,7 @@ from repro.bender.compiler import (
     build_plan,
     compile_stream,
 )
-from repro.bender.program import Loop, Nop, ProgramBuilder, Ref
+from repro.bender.program import Nop, ProgramBuilder, Ref
 from repro.core import patterns
 from repro.dram import make_module
 from repro.dram.bank import STREAM_ACT, STREAM_PRE
@@ -112,9 +112,12 @@ class TestBuildPlan:
 
     def test_loops_pass_through(self, module):
         program = patterns.double_sided_rowhammer(module, 2 * 96 + 40, 100)
+        (loop,) = program.instructions
         plan = build_plan(program, module)
         assert len(plan) == 1
-        assert isinstance(plan[0], Loop)
+        assert isinstance(plan[0], ChunkStep)
+        assert plan[0].count == 100
+        assert plan[0].instructions == (loop,)
 
     def test_aperiodic_run_stays_raw(self, module):
         builder = ProgramBuilder("aperiodic")
@@ -130,12 +133,6 @@ class TestBuildPlan:
             module, victim, victim + 30, dummy_windows=1
         )
         plan = build_plan(program, module)
-        covered = 0
-        for step in plan:
-            if isinstance(step, ChunkStep):
-                covered += len(step.instructions)
-            elif isinstance(step, RunStep):
-                covered += len(step.instructions)
-            else:
-                covered += 1
+        assert all(isinstance(step, (ChunkStep, RunStep)) for step in plan)
+        covered = sum(len(step.instructions) for step in plan)
         assert covered == len(program.instructions)

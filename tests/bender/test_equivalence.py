@@ -1,8 +1,8 @@
 """Compiled/chunked execution must be indistinguishable from unrolled.
 
 Every case runs the same program twice on freshly instantiated modules:
-once on the reference host (``scale_loops=False, compile_streams=False``,
-pure per-instruction interpretation) and once on the default fast host.
+once on the reference host (``interpret=True``, pure per-instruction
+interpretation) and once on the default fast host.
 Victim bytes must be byte-identical, flip sets identical, TRR stats
 (including ``targeted_refreshes``, which depends on bit-exact sampler
 buffer state at every capable REF) identical, and the clock must land on
@@ -37,9 +37,7 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
     module = make_module(CONFIG)
     hook = hook_factory(module) if hook_factory else None
     module.attach_trr(hook)
-    host = DramBenderHost(
-        module, scale_loops=fast, compile_streams=fast
-    )
+    host = DramBenderHost(module, interpret=not fast)
     rows, expected = setup_rows(module)
     host.write_rows(0, {module.to_logical(r): d for r, d in rows.items()})
     program = program_factory(module)
@@ -221,5 +219,17 @@ class TestFlatTrrPrograms:
             (VICTIM,),
             hook,
             rounds=4,
+        )
+        assert fast["trr"]["acts_seen"] > 0
+
+    def test_prac_loop_falls_back_to_unrolled(self):
+        """A PRAC-attached ``Loop`` lowers to a chunk the host must
+        interpret; the fallback must match the reference exactly."""
+        hook = lambda m: PracHook(m, PracConfig.po_naive())  # noqa: E731
+        fast = _compare(
+            lambda m: patterns.double_sided_comra(m, VICTIM, 3000),
+            _hammer_setup((-1, 1)),
+            (VICTIM,),
+            hook,
         )
         assert fast["trr"]["acts_seen"] > 0

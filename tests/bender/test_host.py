@@ -1,4 +1,4 @@
-"""Host execution: scaled-loop equivalence, IO helpers, warnings."""
+"""Host execution: loop-scaling equivalence, path counters, IO, warnings."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.bender.host import DramBenderHost
 from repro.bender.program import ProgramBuilder
 from repro.disturbance import DataPattern, Mechanism
 from repro.dram import make_module
+from repro.obs import Obs
 
 
 def hammer_program(module, victim, count):
@@ -26,7 +27,7 @@ class TestScaledEquivalence:
         results = {}
         for scaled in (False, True):
             module = make_module("hynix-a-8gb")
-            host = DramBenderHost(module, scale_loops=scaled)
+            host = DramBenderHost(module, interpret=not scaled)
             host.run(hammer_program(module, victim, 400))
             results[scaled] = sum(
                 module.model.damage_fraction(0, victim).values()
@@ -38,7 +39,7 @@ class TestScaledEquivalence:
         times = {}
         for scaled in (False, True):
             module = make_module("hynix-a-8gb")
-            host = DramBenderHost(module, scale_loops=scaled)
+            host = DramBenderHost(module, interpret=not scaled)
             result = host.run(hammer_program(module, victim, 400))
             times[scaled] = result.duration_ns
         assert times[True] == pytest.approx(times[False])
@@ -52,6 +53,35 @@ class TestScaledEquivalence:
         program = ProgramBuilder().loop(5, body).build()
         result = host.run(program)
         assert len(result.reads) == 5
+
+
+class TestPathCounters:
+    """``host.chunks`` / ``host.loops`` record the path each loop took."""
+
+    def test_compilable_loop_takes_stream(self, hynix_module):
+        obs = Obs()
+        host = DramBenderHost(hynix_module, obs=obs)
+        host.run(hammer_program(hynix_module, 2 * 96 + 40, 400))
+        assert obs.by_label("host.chunks", "path") == {"stream": 1}
+        assert obs.total("host.loops") == 0
+
+    def test_prac_loop_chunk_is_interpreted(self, hynix_module):
+        from repro.attack.mitigations import PracHook
+        from repro.mitigations.prac import PracConfig
+
+        hynix_module.attach_trr(PracHook(hynix_module, PracConfig.po_naive()))
+        obs = Obs()
+        host = DramBenderHost(hynix_module, obs=obs)
+        host.run(hammer_program(hynix_module, 2 * 96 + 40, 400))
+        assert obs.by_label("host.chunks", "path") == {"unrolled": 1}
+
+    def test_loop_with_reads_is_unrolled(self, hynix_module):
+        obs = Obs()
+        host = DramBenderHost(hynix_module, obs=obs)
+        body = ProgramBuilder().act(0, 3, 13.5).rd(0, 3, 15.0).pre(0, 36.0)
+        host.run(ProgramBuilder().loop(5, body).build())
+        assert obs.by_label("host.loops", "path") == {"unrolled": 1}
+        assert obs.total("host.chunks") == 0
 
 
 class TestRowIO:
