@@ -13,6 +13,9 @@ interpretation):
 * ``gauntlet_cell`` -- one attack-gauntlet cell (synchronized attack
   under sampling TRR) with every host it builds on the interpreting
   reference or not, i.e. the end-to-end attack_surface hot path.
+* ``prac_cell`` -- the same for SiMRA-16 under PRAC-PO-WC, where the
+  compiled chunks run in passes bounded by exact back-off horizons.
+  The speedup carries a hard >=2x floor.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
   engine (``measure_many_*``) against the scalar per-victim session
   loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
@@ -78,6 +81,11 @@ HAMMER_LOOP_FLOOR = 10.0
 #: the stage-by-stage cost breakdown (also emitted per run as the cell's
 #: ``stages_s`` field).
 HCFIRST_BATCH_FLOOR = 1.8
+
+#: acceptance floor on the PRAC gauntlet cell: horizon-bounded passes must
+#: beat per-command interpretation even though every back-off period
+#: still runs exactly
+PRAC_CELL_FLOOR = 2.0
 
 #: --check fails when a cell's speedup falls below baseline/REGRESSION_FACTOR
 REGRESSION_FACTOR = 2.0
@@ -172,6 +180,24 @@ def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
     return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
             "params": {"attack": spec.name, "act_budget": act_budget}}
+
+
+def bench_prac_cell(smoke: bool, repeats: int) -> dict:
+    module = make_module(CONFIG)
+    specs = {spec.name: spec for spec in synthesize_attacks(module, simra_rows=16)}
+    spec = specs["sync-simra16"]
+    act_budget = spec.acts_per_round * (4 if smoke else 16)
+
+    def run(fast: bool) -> None:
+        with nullcontext() if fast else _reference_hosts():
+            run_cell(CONFIG, spec, "prac-po-wc", act_budget,
+                     stop_after_first_flip=False)
+
+    fast_s = _timeit(lambda: run(True), repeats)
+    ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
+    return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
+            "params": {"attack": spec.name, "mitigation": "prac-po-wc",
+                       "act_budget": act_budget}}
 
 
 def bench_population_scan(smoke: bool, repeats: int) -> dict:
@@ -379,6 +405,7 @@ BENCHES = {
     "hammer_loop": bench_hammer_loop,
     "hcfirst_search": bench_hcfirst_search,
     "gauntlet_cell": bench_gauntlet_cell,
+    "prac_cell": bench_prac_cell,
     "population_scan": bench_population_scan,
     "fig25_mix_sweep": bench_fig25_mix_sweep,
     "pud_reliability": bench_pud_reliability,
@@ -443,6 +470,11 @@ def main(argv=None) -> int:
             failures.append(
                 f"hammer_loop: speedup {cell['speedup']:.1f}x is below the "
                 f"{HAMMER_LOOP_FLOOR:.0f}x acceptance floor"
+            )
+        if name == "prac_cell" and cell["speedup"] < PRAC_CELL_FLOOR:
+            failures.append(
+                f"prac_cell: speedup {cell['speedup']:.1f}x is below the "
+                f"{PRAC_CELL_FLOOR:.0f}x acceptance floor"
             )
         if name == "hcfirst_batch" and cell["speedup"] < HCFIRST_BATCH_FLOOR:
             failures.append(

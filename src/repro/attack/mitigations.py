@@ -15,6 +15,7 @@ Three kinds of defense face the synthesized attacks:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,6 +50,21 @@ MITIGATIONS: tuple[str, ...] = (
 )
 
 
+@dataclass
+class _StreamSteps:
+    """Where :meth:`PracHook.stream_horizon` stands in one chunk step."""
+
+    bank: int
+    stream: object
+    #: periods the step still has to run when the host next asks
+    left: int
+    calls: int = 0
+    #: row -> counter increase per period, once a period was observed
+    increments: Optional[dict] = None
+    #: whether the previous pass was scaled (``k > 1``)
+    scaled: bool = False
+
+
 class PracHook:
     """PRAC as a bank hook: per-row counters fed from activation events.
 
@@ -61,12 +77,12 @@ class PracHook:
     instead of waiting for the next REF, because a PuD attacker can cross
     the RDT many times within one tREFI.
 
-    Deliberately *not* stream-capable (no ``on_act_stream``): the back-off
-    must fire at the exact event where a counter crosses the RDT, so
-    aggregating a whole ACT stretch into one batched call would move the
-    targeted refreshes in time and change what the attack flips.  The
-    host's compiled-chunked path detects the missing method and falls back
-    to unrolled execution for PRAC cells.
+    Stream-capable through :meth:`stream_horizon`: counters are
+    deterministic, so the hook can tell the host how many whole periods of
+    a compiled stream run without any counter reaching the RDT.  Those run
+    as one scaled pass; every period that may cross runs exactly
+    (``times = 1``), so each back-off fires at the same event as it does
+    under per-command interpretation.
     """
 
     def __init__(
@@ -84,6 +100,9 @@ class PracHook:
         self.rfms = 0
         self.stall_ns = 0.0
         self.targeted_refreshes = 0
+        self._steps: Optional[_StreamSteps] = None
+        #: row -> counter increase, collected while a period is observed
+        self._observed: Optional[dict] = None
 
     @property
     def stats(self) -> dict:
@@ -108,6 +127,52 @@ class PracHook:
         # counting happens on events, where the true row group is visible
         self.acts_seen += 1
 
+    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
+        """Observe ``times`` repetitions of the ACT sequence ``rows``."""
+        self.acts_seen += len(rows) * int(times)
+
+    def stream_horizon(self, bank: int, stream, left: int) -> int:
+        """Periods of ``stream`` the host may run as one pass (1..``left``).
+
+        The first two periods of a chunk step run exactly.  The second is
+        observed: the bank holds each session back one command, so the
+        events emitted during it are one steady-state period (the first
+        period's held-back session plus the second's others), and their
+        per-row counter increases ``W`` repeat in every later period.  A
+        pass of ``k`` periods that starts after an exact period raises a
+        row's counter by at most ``(k + 1) * W`` by the time its own
+        held-back session (``times = k - 1``) is emitted, so ``k`` is the
+        largest value keeping ``counter + (k + 1) * W`` below the RDT for
+        every row.  A scaled pass is always followed by one exact period,
+        so the next pass again starts after a ``times = 1`` session, and
+        the periods in which a counter can cross always run exactly.
+        """
+        observed, self._observed = self._observed, None
+        steps = self._steps
+        if (
+            steps is None
+            or steps.stream is not stream
+            or steps.bank != bank
+            or steps.left != left
+        ):
+            steps = self._steps = _StreamSteps(bank, stream, left)
+            observed = None
+        if observed is not None:
+            steps.increments = observed
+        if steps.increments is None:
+            if steps.calls == 1 and left > 1:
+                self._observed = {}
+            periods = 1
+        elif steps.scaled:
+            periods = 1
+        else:
+            bound = self.counters(bank).headroom(steps.increments)
+            periods = left if bound is None else max(1, min(left, bound - 1))
+        steps.calls += 1
+        steps.scaled = periods > 1
+        steps.left = left - periods
+        return periods
+
     def on_ref(self, bank: int, now_ns: float) -> list[int]:
         self.refs_seen += 1
         counters = self.counters(bank)
@@ -125,9 +190,13 @@ class PracHook:
             op = OpClass.COMRA
         else:
             op = OpClass.ACT
-        self.stall_ns += counters.record(
-            event.rows, op, times=max(1, int(times))
-        )
+        times = max(1, int(times))
+        self.stall_ns += counters.record(event.rows, op, times=times)
+        observed = self._observed
+        if observed is not None:
+            step = self.config.weight_for(op) * times
+            for row in event.rows:
+                observed[row] = observed.get(row, 0) + step
         if counters.back_off_pending is not None:
             hot = counters.serve_rfm()
             self.rfms += 1
@@ -200,6 +269,10 @@ class WeightedSamplingTrr:
         unique, counts = np.unique(rows, return_counts=True)
         for row, count in zip(unique.tolist(), counts.tolist()):
             weights[row] = weights.get(row, 0.0) + float(count * times)
+
+    def stream_horizon(self, bank: int, stream, left: int) -> int:
+        """The whole step runs as one pass: weights only change at REFs."""
+        return left
 
     def on_event(self, bank: int, event: ActivationEvent, times: float = 1.0) -> None:
         if event.kind is ActivationEvent.Kind.SIMRA:

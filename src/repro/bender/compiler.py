@@ -81,8 +81,7 @@ class ChunkStep:
 
     ``instructions`` keeps the covered program slice (the ``Loop`` itself
     for a lowered loop) so the host can fall back to interpretation when
-    the attached hook cannot take a batched ACT stream (e.g. PRAC back-off
-    must fire mid-window).
+    the attached hook has no ``stream_horizon`` to bound a batched pass.
     """
 
     stream: CompiledStream

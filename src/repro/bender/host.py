@@ -17,19 +17,23 @@ Two execution paths (see DESIGN.md, "Execution engine"):
 * **compiled-chunked** -- periodic ACT/PRE stretches (a top-level
   ``Loop`` whose body compiles, or a periodic run inside a flat program)
   are lowered once by :mod:`repro.bender.compiler` into a command stream
-  and executed as one warm-up period plus one period whose damage the
-  fault model's ``times`` multiplier scales by the remaining repetitions;
-  the clock jumps over the skipped duration.  Valid because damage
-  accrual is linear in the repetition count and a period's *functional*
-  effects (copies, majority writes) reach a fixpoint after one
-  repetition.  Chunks are REF-delimited, which is what makes them
-  compose with an attached TRR hook: between TRR-capable REFs the
-  sampler's observable state depends only on the ACT sequence, so
-  per-ACT callbacks are suppressed during the two passes and the hook
-  receives one batched ``on_act_stream(bank, rows, times)`` that
-  reproduces the exact buffer state sequential ``on_act`` calls would
-  have left.  Hooks without ``on_act_stream`` (e.g. PRAC, whose back-off
-  fires mid-stretch) fall back to the unrolled path automatically.
+  and executed in passes of one warm-up period plus one period whose
+  damage the fault model's ``times`` multiplier scales by the pass's
+  remaining repetitions; the clock jumps over the skipped duration.
+  Valid because damage accrual is linear in the repetition count and a
+  period's *functional* effects (copies, majority writes) reach a
+  fixpoint after one repetition.  Chunks are REF-delimited, which is
+  what makes them compose with an attached hook: per-ACT callbacks are
+  suppressed during a pass and the hook receives one batched
+  ``on_act_stream(bank, rows, times)`` instead.  Before each pass the
+  host asks the hook's ``stream_horizon(bank, stream, left)`` how many
+  periods the pass may cover.  Sampling TRRs act only at REFs and grant
+  the whole chunk; PRAC grants only periods in which no counter can
+  reach the RDT, so every period where a back-off fires runs exactly.
+  Between two passes of one chunk the bank's recent timestamps move to
+  where the skipped periods would have left them
+  (:meth:`~repro.dram.bank.Bank.shift_history`).  Hooks without
+  ``stream_horizon`` fall back to the unrolled path.
 """
 
 from __future__ import annotations
@@ -124,9 +128,10 @@ class DramBenderHost:
         #: suites compare the compiled path against)
         self.interpret = interpret
         #: metrics registry counting which execution path each loop/chunk
-        #: took (``host.loops{path=...}`` / ``host.chunks{path=...}``);
-        #: recorded per loop, never per command, so the disabled default
-        #: costs one no-op call per loop
+        #: took (``host.loops{path=...}`` / ``host.chunks{path=...}``) and
+        #: how each chunk pass ran (``host.chunk_passes{mode=scaled|exact}``);
+        #: recorded per loop or pass, never per command, so the disabled
+        #: default costs one no-op call per loop or pass
         self.obs = obs if obs is not None else NULL_OBS
         self.now_ns = 0.0
         # Plans are keyed by program identity (programs are mutable, so
@@ -188,13 +193,31 @@ class DramBenderHost:
         stream = step.stream
         bank = self.module.bank(stream.bank)
         trr = bank.trr
-        if trr is not None and not hasattr(trr, "on_act_stream"):
-            # hook needs per-command visibility (e.g. PRAC back-off)
+        if trr is not None and not hasattr(trr, "stream_horizon"):
+            # hook cannot bound a batched pass: interpret every command
             self.obs.inc("host.chunks", path="unrolled")
             self._execute(step.instructions, result)
             return
         self.obs.inc("host.chunks", path="stream")
-        self._run_stream(bank, stream, step.count)
+        left = step.count
+        while left:
+            count = (
+                left if trr is None
+                else trr.stream_horizon(stream.bank, stream, left)
+            )
+            self.obs.inc(
+                "host.chunk_passes", mode="scaled" if count > 1 else "exact"
+            )
+            start = self.now_ns
+            self._run_stream(bank, stream, count)
+            left -= count
+            if left and count > 2:
+                # the next pass continues the same periods: move the bank's
+                # history to where the skipped periods would have left it
+                bank.shift_history(
+                    start + stream.duration_ns,
+                    stream.duration_ns * (count - 2),
+                )
 
     def _run_stream(self, bank, stream: CompiledStream, count: int) -> None:
         """Warm-up pass + one pass scaled by ``count - 1``; exact clocking.

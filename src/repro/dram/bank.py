@@ -41,6 +41,15 @@ class TrrHook(Protocol):
     then feeds them every completed
     :class:`~repro.dram.commands.ActivationEvent`, exposing the actual
     activated row group (which the command bus hides for SiMRA).
+
+    Hooks that also define ``stream_horizon(bank, stream, left) -> k`` and
+    ``on_act_stream(bank, rows, times)`` let the host run compiled chunks
+    in batched passes (see :mod:`repro.bender.host`): before each pass the
+    host asks for ``1 <= k <= left``, the whole periods of the stream the
+    pass may cover without the hook having to act inside it, and after
+    the pass it reports the ACTs it suppressed in one ``on_act_stream``
+    call.  Events keep flowing to ``on_event`` during a pass, carrying the
+    pass's ``times``.  Hooks without ``stream_horizon`` see every command.
     """
 
     def on_act(self, bank: int, row: int, now_ns: float) -> None:
@@ -659,6 +668,31 @@ class Bank:
                 act(row, base_ns + offset)
             else:
                 pre(base_ns + offset)
+
+    def shift_history(self, since_ns: float, delta_ns: float) -> None:
+        """Move every timestamp a stream set at or after ``since_ns`` on by
+        ``delta_ns``.
+
+        A scaled pass replays one period but stands for many: shifting the
+        last period's closes, restores, PRE and held-back session to where
+        the skipped periods would have left them makes the next period see
+        the tAggOff gaps, PRE->ACT gap and retention ages of the unrolled
+        run.  Only rows the period closed move; a stream closes every row
+        it activates.
+        """
+        last_close = self._last_close
+        last_restore = self._last_restore
+        for row, closed in last_close.items():
+            if closed >= since_ns:
+                last_close[row] = closed + delta_ns
+                if last_restore.get(row, -1.0) >= since_ns:
+                    last_restore[row] += delta_ns
+        if self._last_pre_ns is not None and self._last_pre_ns >= since_ns:
+            self._last_pre_ns += delta_ns
+        for held in (self._pending, self._comra_context):
+            if held is not None and held.t_close_ns >= since_ns:
+                held.t_close_ns += delta_ns
+                held.session.t_open_ns += delta_ns
 
     # ------------------------------------------------------------------
     def read_row_direct(self, row: int, now_ns: float) -> np.ndarray:

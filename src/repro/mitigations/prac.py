@@ -166,12 +166,15 @@ class PracCounters:
     def record(self, rows: Sequence[int], op: OpClass, times: int = 1) -> float:
         """Account ``times`` repetitions of one operation touching ``rows``.
 
-        Returns the extra bank-blocking latency of the counter update
-        (zero for parallel organizations; one update's worth -- the
-        repetitions share the already-open counter word).
+        Returns the extra bank-blocking latency of the counter updates
+        (zero for parallel organizations).  Counters, ``stats["updates"]``
+        and latency all scale with ``times``, so one call equals ``times``
+        single calls whenever no counter crosses the RDT inside them; the
+        back-off check runs once, after the whole batch.
         """
         config = self.config
-        weight = config.weight_for(op) * max(1, int(times))
+        times = max(1, int(times))
+        weight = config.weight_for(op) * times
         counters = self._counters
         get = counters.get
         initial = self._initial
@@ -185,11 +188,32 @@ class PracCounters:
             counters[row] = value
             if value > hottest:
                 hottest, hottest_row = value, row
-        self.stats["updates"] += len(rows)
+        self.stats["updates"] += len(rows) * times
         if hottest >= config.rdt and self._pending_backoff is None:
             self._pending_backoff = BackOffEvent(self.bank, hottest_row, hottest)
             self.stats["backoffs"] += 1
-        return config.update_latency_ns(len(rows))
+        return config.update_latency_ns(len(rows)) * times
+
+    def headroom(self, increments: dict[int, int]) -> Optional[int]:
+        """Most repetitions of ``increments`` that keep every counter below
+        the RDT.
+
+        ``increments`` maps a row to its counter increase per repetition.
+        Returns None when no counter would move.  Reads counters without
+        materializing untouched rows, so the RFM's reset order is unchanged.
+        """
+        rdt = self.config.rdt
+        get = self._counters.get
+        initial = self._initial
+        bound: Optional[int] = None
+        for row, step in increments.items():
+            value = get(row)
+            if value is None:
+                value = initial(row)
+            repetitions = (rdt - 1 - value) // step
+            if bound is None or repetitions < bound:
+                bound = repetitions
+        return bound
 
     def record_act(self, row: int) -> None:
         """Single-row ACT fast path for the memory-system hot loop.

@@ -20,7 +20,11 @@ is looking.  Hence two implementations of one interface:
 
 Call sites hold a reference (``self.obs = obs or NULL_OBS``) and guard
 nothing: ``obs.inc("probe.probes", path="replay")`` is safe and near-free
-either way.  ``obs.enabled`` exists for the rare site that would have to
+either way.  The host counts the same way: ``host.chunks{path=stream|
+unrolled}`` says whether a hook forced a compiled chunk back to
+per-command interpretation, and ``host.chunk_passes{mode=scaled|exact}``
+how many of a chunk's passes a PRAC back-off horizon held to one exact
+period.  ``obs.enabled`` exists for the rare site that would have to
 *build* something expensive just to record it.
 
 An ambient registry is kept for code too far from a constructor to

@@ -96,6 +96,10 @@ class SamplingTrr:
             seq = rows if times == 1 else np.tile(rows, int(times))
             buf.extend(int(row) for row in seq)
 
+    def stream_horizon(self, bank: int, stream, left: int) -> int:
+        """The whole step runs as one pass: the sampler only acts at REFs."""
+        return left
+
     def on_ref(self, bank: int, now_ns: float) -> list[int]:
         self.refs_seen += 1
         count = self._ref_counter.get(bank, 0) + 1

@@ -1,8 +1,11 @@
 """Gauntlet harness: the acceptance matrix, determinism, blocked cells."""
 
+import functools
+
 import pytest
 
-from repro.attack import run_cell, run_gauntlet, synthesize_attacks
+from repro.attack import gauntlet, run_cell, run_gauntlet, synthesize_attacks
+from repro.bender.host import DramBenderHost
 from repro.core.scale import ExperimentScale
 from repro.dram.vendors import make_module
 
@@ -132,3 +135,27 @@ class TestHarness:
             run_gauntlet("hynix-a-8gb", 1000, attacks=("mystery-attack",))
         with pytest.raises(KeyError):
             run_gauntlet("hynix-a-8gb", 1000, mitigations=("magic-shield",))
+
+
+class TestStreamedPracCells:
+    """PRAC cells run on compiled chunks; interpretation is the reference."""
+
+    @pytest.mark.parametrize(
+        "mitigation", ["prac-po-naive", "prac-po-wc", "prac-ao-wc"]
+    )
+    @pytest.mark.parametrize(
+        "attack",
+        ["naive-rowhammer", "sync-rowhammer", "sync-comra", "sync-simra16"],
+    )
+    def test_row_matches_interpreting_host(
+        self, hynix_specs, monkeypatch, attack, mitigation
+    ):
+        spec = hynix_specs[attack]
+        budget = SMOKE_BUDGET // 4
+        fast = run_cell("hynix-a-8gb", spec, mitigation, budget).to_row()
+        monkeypatch.setattr(
+            gauntlet, "DramBenderHost",
+            functools.partial(DramBenderHost, interpret=True),
+        )
+        reference = run_cell("hynix-a-8gb", spec, mitigation, budget).to_row()
+        assert fast == reference

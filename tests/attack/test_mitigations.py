@@ -60,6 +60,35 @@ class TestPracHook:
         # 16-row group: 15 serialized counter updates at tRC each
         assert hook.stats["stall_ns"] == pytest.approx(15 * 48.0)
 
+    def test_stream_horizon_observes_then_keeps_hold_back_margin(self):
+        module = make_module("hynix-a-8gb")
+        hook = PracHook(module, PracConfig.po_naive())  # RDT 20
+        stream = object()
+        single = ActivationEvent.Kind.SINGLE
+        # periods 1 and 2 run exactly; the second one's events are observed
+        assert hook.stream_horizon(0, stream, 100) == 1
+        hook.on_event(0, _event(single, (5,)))
+        assert hook.stream_horizon(0, stream, 99) == 1
+        hook.on_event(0, _event(single, (5,)))
+        hook.on_event(0, _event(single, (7,)))
+        hook.on_event(0, _event(single, (5,)))
+        # W = {5: 2, 7: 1}; row 5 is at 3, so 3 + n * 2 < 20 allows
+        # n = 8 periods, one of which is the held-back session's margin
+        assert hook.stream_horizon(0, stream, 98) == 7
+        # a scaled pass is always followed by one exact period
+        assert hook.stream_horizon(0, stream, 91) == 1
+        # a different step starts over
+        assert hook.stream_horizon(0, object(), 50) == 1
+        assert hook.stream_horizon(0, object(), 50) == 1
+
+    def test_stream_horizon_grants_the_rest_when_nothing_counts(self):
+        module = make_module("hynix-a-8gb")
+        hook = PracHook(module, PracConfig.po_naive())
+        stream = object()
+        assert hook.stream_horizon(0, stream, 10) == 1
+        assert hook.stream_horizon(0, stream, 9) == 1
+        assert hook.stream_horizon(0, stream, 8) == 8
+
 
 class TestWeightedSamplingTrr:
     def test_simra_weight_beats_dummy_flood(self):

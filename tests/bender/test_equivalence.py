@@ -14,6 +14,7 @@ import pytest
 
 from repro.attack.mitigations import PracHook, WeightedSamplingTrr
 from repro.bender.host import DramBenderHost
+from repro.bender.program import ProgramBuilder
 from repro.core import patterns
 from repro.disturbance import Mechanism
 from repro.dram import make_module
@@ -32,12 +33,32 @@ def _flip_bits(read_back: dict, expected: np.ndarray) -> set:
     return flips
 
 
+def _log_passes(host) -> list:
+    """Record ``(periods, back-offs)`` per chunk pass, ``None`` per chunk."""
+    log = []
+    run_stream, execute_chunk = host._run_stream, host._execute_chunk
+
+    def logged_chunk(step, result):
+        log.append(None)
+        execute_chunk(step, result)
+
+    def logged_run(bank, stream, count):
+        before = getattr(bank.trr, "rfms", 0)
+        run_stream(bank, stream, count)
+        log.append((count, getattr(bank.trr, "rfms", 0) - before))
+
+    host._execute_chunk = logged_chunk
+    host._run_stream = logged_run
+    return log
+
+
 def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1):
     """One side of an equivalence comparison, on a fresh module."""
     module = make_module(CONFIG)
     hook = hook_factory(module) if hook_factory else None
     module.attach_trr(hook)
     host = DramBenderHost(module, interpret=not fast)
+    passes = _log_passes(host) if fast else None
     rows, expected = setup_rows(module)
     host.write_rows(0, {module.to_logical(r): d for r, d in rows.items()})
     program = program_factory(module)
@@ -50,6 +71,7 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
         "trr": dict(hook.stats) if hook is not None else None,
         "bank": dict(module.banks[0].stats),
         "now_ns": host.now_ns,
+        "passes": passes,
     }
 
 
@@ -206,30 +228,126 @@ class TestFlatTrrPrograms:
         )
         assert fast["trr"]["targeted_refreshes"] > 0
 
-    def test_prac_falls_back_to_unrolled(self):
-        """PRAC has no ``on_act_stream``; both sides must interpret, and
-        the fast host's fallback must not change a single stat."""
-        hook = lambda m: PracHook(m, PracConfig.po_naive())  # noqa: E731
+
+PRAC_VARIANTS = {
+    "po-naive": PracConfig.po_naive,
+    "po-wc": PracConfig.po_weighted,
+    "ao-wc": PracConfig.ao_weighted,
+}
+
+
+def _prac(variant):
+    return lambda module: PracHook(module, PRAC_VARIANTS[variant]())
+
+
+def _mid_chunk_backoffs(passes) -> int:
+    """Back-offs serviced in exact passes that follow a scaled pass of the
+    same chunk, i.e. strictly inside a compiled chunk."""
+    count = 0
+    scaled = False
+    for entry in passes:
+        if entry is None:
+            scaled = False
+            continue
+        periods, backoffs = entry
+        if periods > 1:
+            scaled = True
+        elif scaled:
+            count += backoffs
+    return count
+
+
+@pytest.mark.parametrize("variant", sorted(PRAC_VARIANTS))
+class TestPracStreams:
+    """PRAC chunks split at exact back-off horizons vs interpretation.
+
+    Every program services back-offs in exact periods that follow a scaled
+    pass of the same chunk, so the comparison covers the horizon bound,
+    its margin for the held-back session and the history shift between
+    passes, not only chunk edges.  Equal hook stats (``rfms``,
+    ``targeted_refreshes``, ``stall_ns``, ``acts_seen``) mean every
+    back-off fired at the same event as under interpretation.
+    """
+
+    def test_rowhammer_windows(self, variant):
         fast = _compare(
             lambda m: patterns.n_sided_trr_pattern(
                 m, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
-                windows=2, dummy_windows=1,
+                windows=2, dummy_windows=2,
             ),
             _hammer_setup((-1, 1, 30)),
             (VICTIM,),
-            hook,
+            _prac(variant),
+            rounds=16,
+        )
+        assert _mid_chunk_backoffs(fast["passes"]) > 0
+
+    def test_comra_windows(self, variant):
+        fast = _compare(
+            lambda m: patterns.comra_trr_pattern(
+                m, VICTIM, VICTIM + 30, dummy_windows=2
+            ),
+            _hammer_setup((-1, 1, 30)),
+            (VICTIM,),
+            _prac(variant),
+            rounds=8,
+        )
+        assert fast["bank"]["comra_copies"] > 0
+        assert _mid_chunk_backoffs(fast["passes"]) > 0
+
+    def test_simra_windows(self, variant):
+        module = make_module(CONFIG)
+        block_base = (VICTIM // 32) * 32
+        pair = patterns.simra_pair_for(module, block_base, 4)
+        victim = pair.sandwiched_victims()[0]
+        fast = _compare(
+            lambda m: patterns.simra_trr_pattern(
+                m, pair, victim + 40, dummy_windows=2
+            ),
+            _hammer_setup(
+                tuple(r - victim for r in pair.group) + (40,), (victim,), victim
+            ),
+            (victim,),
+            _prac(variant),
             rounds=4,
         )
-        assert fast["trr"]["acts_seen"] > 0
+        assert fast["bank"]["simra_ops"] > 0
+        assert _mid_chunk_backoffs(fast["passes"]) > 0
 
-    def test_prac_loop_falls_back_to_unrolled(self):
-        """A PRAC-attached ``Loop`` lowers to a chunk the host must
-        interpret; the fallback must match the reference exactly."""
-        hook = lambda m: PracHook(m, PracConfig.po_naive())  # noqa: E731
+    def test_comra_loop(self, variant):
+        """A PRAC-attached ``Loop`` streams through the same horizons."""
         fast = _compare(
             lambda m: patterns.double_sided_comra(m, VICTIM, 3000),
             _hammer_setup((-1, 1)),
             (VICTIM,),
-            hook,
+            _prac(variant),
         )
         assert fast["trr"]["acts_seen"] > 0
+        assert fast["trr"]["rfms"] > 0
+
+
+def test_history_shift_between_prac_passes():
+    """A row that closes a period and opens the next (gap ``tRP``, below
+    the fault model's flat tAggOff region) must see the unrolled gap in
+    the first exact period after a scaled pass, not the clock jump."""
+
+    def program(module):
+        a = module.to_logical(VICTIM + 1)
+        b = module.to_logical(VICTIM + 40)
+        body = ProgramBuilder().act(0, b, 13.5).pre(0, 36.0)
+        for _ in range(4):
+            body = body.act(0, a, 13.5).pre(0, 36.0)
+        body = body.act(0, b, 13.5).pre(0, 36.0)
+        return ProgramBuilder("b-a4-b").loop(2000, body).build()
+
+    damage = {}
+    for fast in (True, False):
+        module = make_module(CONFIG)
+        module.attach_trr(PracHook(module, PracConfig.po_weighted()))
+        host = DramBenderHost(module, interpret=not fast)
+        host.run(program(module))
+        damage[fast] = sum(
+            module.model.damage_fraction(0, VICTIM + 41).values()
+        )
+    assert damage[True] > 0
+    assert damage[True] == pytest.approx(damage[False], rel=1e-12)

@@ -63,9 +63,10 @@ class TestPathCounters:
         host = DramBenderHost(hynix_module, obs=obs)
         host.run(hammer_program(hynix_module, 2 * 96 + 40, 400))
         assert obs.by_label("host.chunks", "path") == {"stream": 1}
+        assert obs.by_label("host.chunk_passes", "mode") == {"scaled": 1}
         assert obs.total("host.loops") == 0
 
-    def test_prac_loop_chunk_is_interpreted(self, hynix_module):
+    def test_prac_loop_chunk_streams(self, hynix_module):
         from repro.attack.mitigations import PracHook
         from repro.mitigations.prac import PracConfig
 
@@ -73,7 +74,33 @@ class TestPathCounters:
         obs = Obs()
         host = DramBenderHost(hynix_module, obs=obs)
         host.run(hammer_program(hynix_module, 2 * 96 + 40, 400))
+        assert obs.by_label("host.chunks", "path") == {"stream": 1}
+        # RDT 20: every back-off period runs exactly, between scaled passes
+        passes = obs.by_label("host.chunk_passes", "mode")
+        assert passes["scaled"] > 0
+        assert passes["exact"] > passes["scaled"]
+
+    def test_hook_without_horizon_is_interpreted(self, hynix_module):
+        class CommandHook:
+            """Sees every ACT; cannot bound a batched pass."""
+
+            def __init__(self):
+                self.acts = 0
+
+            def on_act(self, bank, row, now_ns):
+                self.acts += 1
+
+            def on_ref(self, bank, now_ns):
+                return []
+
+        hook = CommandHook()
+        hynix_module.attach_trr(hook)
+        obs = Obs()
+        host = DramBenderHost(hynix_module, obs=obs)
+        host.run(hammer_program(hynix_module, 2 * 96 + 40, 400))
         assert obs.by_label("host.chunks", "path") == {"unrolled": 1}
+        assert obs.total("host.chunk_passes") == 0
+        assert hook.acts == 800
 
     def test_loop_with_reads_is_unrolled(self, hynix_module):
         obs = Obs()

@@ -75,3 +75,40 @@ class TestCounters:
     def test_cold_start_zeros(self):
         counters = PracCounters(0, PracConfig.po_weighted())
         assert counters.counter(123) == 0
+
+    @pytest.mark.parametrize(
+        "config", [PracConfig.po_naive(), PracConfig.ao_weighted()],
+        ids=["po-naive", "ao-wc"],
+    )
+    @pytest.mark.parametrize("op", [OpClass.ACT, OpClass.COMRA, OpClass.SIMRA])
+    def test_batched_record_equals_repeated_records(self, config, op):
+        rows = list(range(40, 56)) if op is OpClass.SIMRA else [40, 42]
+        times = 3
+        batched = PracCounters(0, config)
+        repeated = PracCounters(0, config)
+        latency = batched.record(rows, op, times=times)
+        total = sum(repeated.record(rows, op) for _ in range(times))
+        assert batched.back_off_pending is None  # no crossing inside
+        assert latency == total
+        assert batched.stats == repeated.stats
+        assert [batched.counter(r) for r in rows] == [
+            repeated.counter(r) for r in rows
+        ]
+
+    def test_headroom_is_last_repetition_below_rdt(self):
+        config = PracConfig.po_weighted()
+        counters = PracCounters(0, config, warm_start=True)
+        increments = {40: WEIGHT_SIMRA, 41: WEIGHT_SIMRA, 90: 1}
+        bound = counters.headroom(increments)
+        assert bound == min(
+            (config.rdt - 1 - counters.counter(row)) // step
+            for row, step in increments.items()
+        )
+        for _ in range(bound):
+            counters.record([40, 41], OpClass.SIMRA)
+            counters.record([90], OpClass.ACT)
+        assert counters.back_off_pending is None
+        counters.record([40, 41], OpClass.SIMRA)
+        counters.record([90], OpClass.ACT)
+        assert counters.back_off_pending is not None
+        assert PracCounters(0, config).headroom({}) is None
