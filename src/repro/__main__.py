@@ -16,6 +16,9 @@ Subcommands:
   campaign store, resumable)
 * ``trace [run_id]``            -- render one campaign run's manifest,
   event log and metrics snapshot (default: the most recent run)
+* ``verify [ids...]``           -- check the paper-claims table
+  (``repro.claims``) against campaign results; exits 1 on any failed or
+  missing claim
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ import argparse
 import json
 import sys
 
+from . import claims
 from .analysis.report import generate_report
-from .campaign import GRANULARITIES, ArtifactStore, CampaignRunner
+from .campaign import (
+    GRANULARITIES, ArtifactStore, CampaignRunner, run_campaign,
+)
 from .core.scale import ExperimentScale
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -201,6 +207,33 @@ def _run_trace(parser: argparse.ArgumentParser, args) -> int:
     return 0
 
 
+def _run_verify(args) -> int:
+    selected = [
+        c for c in claims.CLAIMS
+        if not args.experiment_ids or c.experiment in args.experiment_ids
+    ]
+    # every experiment a claim reads comes from this one campaign, so a
+    # cross-experiment claim compares values of the same run
+    experiment_ids = sorted({e for c in selected for e in c.experiments})
+    summary = run_campaign(
+        experiment_ids=experiment_ids,
+        scale=_SCALES[args.scale](),
+        jobs=args.jobs,
+        store=ArtifactStore(args.output),
+        force=args.force,
+        stream=sys.stderr,
+    )
+    verdicts = [
+        claims.evaluate(claim, summary.results, args.scale)
+        for claim in selected
+    ]
+    print(claims.format_verdicts(verdicts))
+    for experiment_id, error in summary.failures.items():
+        print(f"FAILED {experiment_id}: {error}", file=sys.stderr)
+    failed = summary.failures or any(v.failed for v in verdicts)
+    return 1 if failed else 0
+
+
 def _experiment_description(runner) -> str:
     """First line of the runner's docstring, the one-line description."""
     doc = (runner.__doc__ or "").strip()
@@ -321,8 +354,19 @@ def main(argv: list[str] | None = None) -> int:
         help="list known run ids (oldest first) and exit",
     )
 
+    verify_parser = subcommands.add_parser(
+        "verify",
+        help="check the paper's claims against campaign results",
+    )
+    verify_parser.add_argument(
+        "experiment_ids", nargs="*", default=None,
+        help="check only these experiments' claims (default: all)",
+    )
+    _scale_arg(verify_parser)
+    _store_args(verify_parser)
+
     args = parser.parse_args(argv)
-    if args.command in ("campaign", "report"):
+    if args.command in ("campaign", "report", "verify"):
         unknown = [i for i in args.experiment_ids or [] if i not in EXPERIMENTS]
         if unknown:
             parser.error(
@@ -379,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_reliability(parser, args)
     if args.command == "trace":
         return _run_trace(parser, args)
+    if args.command == "verify":
+        return _run_verify(args)
     if args.command == "report":
         report = generate_report(
             scale=_SCALES[args.scale](),

@@ -67,19 +67,26 @@ EXPERIMENT_SUBSYSTEM_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: top-level modules no experiment executes: the CLI and the claims
+#: table, so moving a band does not invalidate stored results
+_NOT_EXECUTED = frozenset({"__main__.py", "claims.py"})
+
+
 @lru_cache(maxsize=None)
 def subsystem_fingerprint(name: str) -> str:
     """Digest of one ``repro`` subpackage's sources.
 
     ``name=""`` digests only the package's top-level modules (no
-    subdirectories); any other name digests ``src/repro/<name>``
-    recursively.
+    subdirectories) bar :data:`_NOT_EXECUTED`; any other name digests
+    ``src/repro/<name>`` recursively.
     """
     package_root = Path(__file__).resolve().parent.parent
     if name:
         paths = sorted((package_root / name).rglob("*.py"))
     else:
-        paths = sorted(package_root.glob("*.py"))
+        paths = sorted(
+            p for p in package_root.glob("*.py") if p.name not in _NOT_EXECUTED
+        )
     digest = hashlib.sha256()
     for path in paths:
         digest.update(str(path.relative_to(package_root)).encode())

@@ -121,15 +121,6 @@ class ChangeDistribution:
             return 0.0
         return sum(1 for c in self.changes if c <= -percent) / len(self.changes)
 
-    def at_percentile(self, pct: float) -> float:
-        """Change value at a position along the sorted curve (0..100)."""
-        if not self.changes:
-            raise ValueError("empty change distribution")
-        index = min(
-            len(self.changes) - 1, int(pct / 100.0 * (len(self.changes) - 1))
-        )
-        return self.changes[index]
-
 
 def ratio_of_means(
     baseline: Sequence[Measurement], technique: Sequence[Measurement]

@@ -63,9 +63,9 @@ class CombinedResult:
 class _ProbeRequest:
     """One scalar measurement call, reified so many can run batched.
 
-    A request is exactly the argument tuple `_measure` used to receive;
-    ``measure_many_*`` builds one request per scalar call and hands the
-    whole list to the batched engine instead of searching serially.
+    ``measure_many_*`` builds one request per scalar measurement and
+    hands the whole list to the batched engine instead of searching
+    serially.
     """
 
     victims: tuple
@@ -369,21 +369,6 @@ class CharacterizationSession:
             results[index].append(self._wrap(requests[index], victim, outcome))
         return results
 
-    def _measure(
-        self,
-        victims: Sequence[int],
-        aggressors: Sequence[int],
-        program_factory,
-        mechanism: Mechanism,
-        pattern: DataPattern,
-        **params,
-    ) -> list[Measurement]:
-        request = _ProbeRequest(
-            tuple(victims), tuple(aggressors), program_factory,
-            mechanism, pattern, params,
-        )
-        return self._measure_requests([request])[0]
-
     # -- RowHammer / RowPress -------------------------------------------
     def _rowhammer_ds_request(
         self,
@@ -449,23 +434,13 @@ class CharacterizationSession:
             dict(t_agg_on_ns=t_agg_on_ns, sided="single"),
         )
 
-    def measure_rowhammer_ss(
-        self,
-        aggressor: int,
-        pattern: Optional[DataPattern] = None,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-    ) -> list[Measurement]:
-        """Single-sided RowHammer; measures each adjacent victim."""
-        request = self._rowhammer_ss_request(aggressor, pattern, t_agg_on_ns)
-        return self._measure_requests([request])[0]
-
     def measure_many_rowhammer_ss(
         self,
         aggressors: Sequence[int],
         pattern: Optional[DataPattern] = None,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_rowhammer_ss` over an aggressor list."""
+        """Single-sided RowHammer per aggressor; measures each adjacent victim."""
         requests = [
             self._rowhammer_ss_request(a, pattern, t_agg_on_ns)
             for a in aggressors
@@ -491,22 +466,13 @@ class CharacterizationSession:
             Mechanism.ROWHAMMER, pattern, dict(sided="far-double"),
         )
 
-    def measure_far_ds_rowhammer(
-        self,
-        row_a: int,
-        row_b: int,
-        pattern: Optional[DataPattern] = None,
-    ) -> list[Measurement]:
-        """Fig. 7's control: two distant aggressors at nominal timing."""
-        request = self._far_ds_request(row_a, row_b, pattern)
-        return self._measure_requests([request])[0]
-
     def measure_many_far_ds_rowhammer(
         self,
         row_pairs: Sequence[tuple[int, int]],
         pattern: Optional[DataPattern] = None,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_far_ds_rowhammer` over (row_a, row_b) pairs."""
+        """Fig. 7's control per (row_a, row_b) pair: two distant aggressors
+        at nominal timing."""
         requests = [self._far_ds_request(a, b, pattern) for a, b in row_pairs]
         return self._measure_requests(requests, batched=True)
 
@@ -592,17 +558,6 @@ class CharacterizationSession:
             dict(pre_to_act_ns=pre_to_act_ns, sided="single"),
         )
 
-    def measure_comra_ss(
-        self,
-        src: int,
-        dst: int,
-        pattern: Optional[DataPattern] = None,
-        pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
-        victims: Optional[Sequence[int]] = None,
-    ) -> list[Measurement]:
-        request = self._comra_ss_request(src, dst, pattern, pre_to_act_ns, victims)
-        return self._measure_requests([request])[0]
-
     def measure_many_comra_ss(
         self,
         row_pairs: Sequence[tuple[int, int]],
@@ -610,7 +565,7 @@ class CharacterizationSession:
         pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
         victims: Optional[Sequence[Optional[Sequence[int]]]] = None,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_comra_ss` over (src, dst) pairs.
+        """Single-sided CoMRA per (src, dst) pair.
 
         ``victims`` optionally pins the measured victims per pair (parallel
         to ``row_pairs``; None entries fall back to ``src``'s neighbors).
@@ -745,19 +700,6 @@ class CharacterizationSession:
                  act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns),
         )
 
-    def measure_simra_ss(
-        self,
-        pair: patterns.SimraAddressPair,
-        pattern: Optional[DataPattern] = None,
-        act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
-        pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
-    ) -> list[Measurement]:
-        """Single-sided SiMRA: victims bordering a contiguous group."""
-        request = self._simra_ss_request(pair, pattern, act_to_pre_ns, pre_to_act_ns)
-        if request is None:
-            return []
-        return self._measure_requests([request])[0]
-
     def measure_many_simra_ss(
         self,
         pairs: Sequence[patterns.SimraAddressPair],
@@ -765,10 +707,10 @@ class CharacterizationSession:
         act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
         pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_simra_ss` over a group list.
+        """Single-sided SiMRA per group: victims bordering a contiguous group.
 
         Groups with no measurable edge victim yield an empty list in their
-        slot, mirroring the scalar method's return value.
+        slot.
         """
         pairs = list(pairs)
         requests = []

@@ -153,15 +153,3 @@ class DamageLedger:
         cells = self.flipped[slot]
         if cells:
             cells.clear()
-
-    def restore_many(self, slots: np.ndarray) -> None:
-        """Vectorized :meth:`restore` over a slot array (snapshot restore)."""
-        self.damage[slots] = 0.0
-        self.flips[slots] = 0
-        pool_order = self.pool_order
-        flipped = self.flipped
-        for slot in slots:
-            pool_order[slot].clear()
-            cells = flipped[slot]
-            if cells:
-                cells.clear()

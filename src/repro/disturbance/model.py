@@ -1383,29 +1383,6 @@ class DisturbanceModel:
             out[positions] = table.hc_ref[offsets] / weight
         return out
 
-    def flip_target_array(
-        self,
-        bank: int,
-        rows: Sequence[int],
-        effective_damage: "float | Sequence[float]",
-    ) -> np.ndarray:
-        """Vectorized :meth:`_flip_target` over a batch of rows.
-
-        ``normal_cdf`` is built on ``math.erf``, which numpy does not
-        expose, so the quantile stays a scalar loop; the vectorized win is
-        the bulk weak-cell gather, multiply and clamp.
-        """
-        sigma = self.vendor_cal.cell_sigma
-        damage = np.broadcast_to(
-            np.asarray(effective_damage, dtype=float), (len(rows),)
-        )
-        quantile = np.array(
-            [normal_cdf((math.log(d) - 2.5 * sigma) / sigma) for d in damage]
-        )
-        weak = np.empty(len(rows), dtype=np.int64)
-        for table, offsets, positions in self._gather(bank, rows):
-            weak[positions] = table.weak_cells[offsets]
-        return np.maximum(1, (weak * quantile).astype(np.int64))
 
 
 #: fill byte -> pattern, for the first-byte probe in classify_pattern

@@ -128,9 +128,6 @@ class DramModule:
     # ------------------------------------------------------------------
     # Host-facing convenience (logical address space, nominal timing)
     # ------------------------------------------------------------------
-    def read_row(self, bank: int, logical_row: int, now_ns: float = 0.0) -> np.ndarray:
-        return self.bank(bank).read_row_direct(self.to_physical(logical_row), now_ns)
-
     def write_row(
         self, bank: int, logical_row: int, data: np.ndarray, now_ns: float = 0.0
     ) -> None:

@@ -112,9 +112,6 @@ class CorruptionOracle:
         """Record that the program wrote ``data`` into physical ``row``."""
         self.shadow[row] = np.array(data, dtype=np.uint8, copy=True)
 
-    def tracked_rows(self) -> list[int]:
-        return sorted(self.shadow)
-
     def expected(self, row: int) -> np.ndarray:
         return self.shadow[row]
 

@@ -6,7 +6,7 @@ chip state build their own modules instead.
 
 import pytest
 
-from repro import ExperimentScale, make_module
+from repro import ExperimentScale, make_module, run_experiment
 from repro.core.session import CharacterizationSession
 
 
@@ -32,6 +32,21 @@ def _isolated_cache_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_scale():
     return ExperimentScale.small()
+
+
+@pytest.fixture(scope="session")
+def small_result():
+    """Small-scale experiment results, each computed at most once per run."""
+    cache = {}
+
+    def get(experiment_id):
+        if experiment_id not in cache:
+            cache[experiment_id] = run_experiment(
+                experiment_id, ExperimentScale.small()
+            )
+        return cache[experiment_id]
+
+    return get
 
 
 @pytest.fixture()
