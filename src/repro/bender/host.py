@@ -134,18 +134,18 @@ class DramBenderHost:
         #: default costs one no-op call per loop or pass
         self.obs = obs if obs is not None else NULL_OBS
         self.now_ns = 0.0
-        # Plans are keyed by program identity (programs are mutable, so
-        # content hashing is off the table); the program reference is kept
-        # so a dead id can't alias a new object.  Callers must not mutate
-        # a program's instruction list between runs -- nothing in the
-        # repo does.
-        self._plans: dict[int, tuple[TestProgram, list]] = {}
+        # Plans and durations are keyed by program identity (programs are
+        # mutable, so content hashing is off the table); the program
+        # reference is kept so a dead id can't alias a new object.  Callers
+        # must not mutate a program's instruction list between runs --
+        # nothing in the repo does.
+        self._plans: dict[int, tuple[TestProgram, list, float]] = {}
 
     # ------------------------------------------------------------------
     def run(self, program: TestProgram) -> ProgramResult:
         """Execute a program; returns collected reads and timing."""
         result = ProgramResult(program.name, start_ns=self.now_ns)
-        duration = program.duration_ns
+        plan, duration = self._plan_for(program)
         if duration > self.module.timing.tREFW:
             message = (
                 f"program {program.name!r} runs {duration / 1e6:.1f} ms, beyond "
@@ -159,7 +159,7 @@ class DramBenderHost:
         if self.interpret:
             self._execute(program.instructions, result)
         else:
-            self._execute_plan(self._plan_for(program), result)
+            self._execute_plan(plan, result)
         self._flush_banks()
         result.end_ns = self.now_ns
         return result
@@ -171,16 +171,18 @@ class DramBenderHost:
     # ------------------------------------------------------------------
     # Plan machinery (compiled-chunked path)
     # ------------------------------------------------------------------
-    def _plan_for(self, program: TestProgram) -> list:
+    def _plan_for(self, program: TestProgram) -> tuple[list, float]:
+        """The program's chunk plan (empty when interpreting) and duration."""
         key = id(program)
         entry = self._plans.get(key)
         if entry is not None and entry[0] is program:
-            return entry[1]
-        plan = build_plan(program, self.module)
+            return entry[1], entry[2]
+        plan = [] if self.interpret else build_plan(program, self.module)
+        duration = program.duration_ns
         if len(self._plans) >= self._CACHE_MAX:
             self._plans.clear()
-        self._plans[key] = (program, plan)
-        return plan
+        self._plans[key] = (program, plan, duration)
+        return plan, duration
 
     def _execute_plan(self, plan: list, result: ProgramResult) -> None:
         for step in plan:

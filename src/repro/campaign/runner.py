@@ -261,7 +261,7 @@ class CampaignRunner:
     # -- cache ---------------------------------------------------------
     def _from_cache(self, task: Task, log: EventLog) -> Optional[TaskOutcome]:
         key = self.store.key(task.experiment_id, self.scale, task.shard)
-        payload = self.store.get_payload(key)
+        payload = self.store.get_payload(key, self.obs)
         if payload is None:
             return None
         saved = float(payload.get("elapsed") or 0.0)

@@ -29,6 +29,7 @@ from typing import Optional
 
 from ..core.scale import ExperimentScale
 from ..experiments.base import ExperimentResult
+from ..obs import NULL_OBS, AnyObs
 
 #: bump to invalidate every artifact regardless of code fingerprint
 STORE_FORMAT = 1
@@ -214,25 +215,47 @@ class ArtifactStore:
         return self.artifact_path(key).exists()
 
     def get(self, key: ArtifactKey) -> Optional[ExperimentResult]:
-        """The stored result for ``key``, or ``None`` on a miss.
-
-        A corrupt artifact (truncated write from a killed process on a
-        filesystem without atomic rename) is treated as a miss.
-        """
+        """The stored result for ``key``, or ``None`` on a miss (see
+        :meth:`get_payload`)."""
         payload = self.get_payload(key)
         if payload is None:
             return None
         return ExperimentResult.from_dict(payload["result"])
 
-    def get_payload(self, key: ArtifactKey) -> Optional[dict]:
+    def get_payload(
+        self, key: ArtifactKey, obs: AnyObs = NULL_OBS
+    ) -> Optional[dict]:
+        """The stored payload for ``key``, or ``None`` on a miss.
+
+        An absent or unreadable file is a plain miss.  A corrupt artifact
+        -- bytes that do not parse as a JSON object (a truncated write from
+        a killed process on a filesystem without atomic rename), or a
+        recorded digest that is not ``key``'s -- is a miss too, but it is
+        first renamed to ``<digest>.json.corrupt``, out of every later
+        lookup yet kept for inspection, and counted as
+        ``store.corrupt{reason=json|digest}`` in ``obs``.
+        """
         path = self.artifact_path(key)
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except OSError:
             return None
-        if payload.get("key", {}).get("digest") != key.digest:
-            return None
+        except ValueError:  # undecodable bytes or malformed JSON
+            return self._quarantine(path, "json", obs)
+        if not isinstance(payload, dict):
+            return self._quarantine(path, "json", obs)
+        recorded = payload.get("key")
+        if not isinstance(recorded, dict) or recorded.get("digest") != key.digest:
+            return self._quarantine(path, "digest", obs)
         return payload
+
+    @staticmethod
+    def _quarantine(path: Path, reason: str, obs: AnyObs) -> None:
+        try:
+            path.replace(path.with_name(path.name + ".corrupt"))
+        except FileNotFoundError:
+            return  # a concurrent reader quarantined and counted it
+        obs.inc("store.corrupt", reason=reason)
 
     def put(
         self,

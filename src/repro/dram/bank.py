@@ -21,7 +21,7 @@ experiment driver) pass absolute nanosecond timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -161,6 +161,7 @@ class Bank:
         self._comra_context: Optional[_PendingClose] = None
         #: rows whose cells sit at ~VDD/2 (FracDRAM fractional values)
         self._frac: set[int] = set()
+        self._simra_groups: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
         self.trr: Optional[TrrHook] = None
         #: when True, ACTs skip the per-command ``trr.on_act`` callback;
         #: the caller owes the hook one batched ``on_act_stream`` instead
@@ -228,19 +229,49 @@ class Bank:
     # Charge restoration: flips materialize, damage clears
     # ------------------------------------------------------------------
     def _restore_row(self, row: int, now_ns: float) -> None:
-        if self.probe_tap is not None:
-            self.probe_tap(("touch", row, now_ns))
-        data = self._row_data(row)
-        changed = 0
-        last = self._last_restore.get(row)
-        if last is not None:
-            elapsed = now_ns - last
-            changed += self.retention.apply_decay(self.index, row, elapsed, data)
-        changed += self.model.realize_flips(self.index, row, data)
-        self.model.restore_row(self.index, row)
-        if changed:
-            self._bump_version(row)
-        self._last_restore[row] = now_ns
+        self._restore_rows((row,), now_ns)
+
+    def _restore_rows(self, rows: Iterable[int], now_ns: float) -> None:
+        """Restore the charge of ``rows`` at ``now_ns``, one row after another.
+
+        Per row, in order: a ``probe_tap`` touch, retention decay, flip
+        realization, the model's ledger restore, a data-version bump if
+        bytes changed.  Decay runs only past the row's retention time and
+        flip realization only when the row's ledger slot holds damage,
+        the two cases in which those calls can flip a bit.  Restoring a
+        row twice at one timestamp is a no-op the second time: zero time
+        has elapsed and its ledger slot is empty.
+        """
+        tap = self.probe_tap
+        bank = self.index
+        data_of = self._data
+        last_restore = self._last_restore
+        retention = self.retention
+        retention_ns = retention.retention_ns
+        model = self.model
+        ledger = model.ledger
+        peek = ledger.peek
+        pool_order = ledger.pool_order
+        for row in rows:
+            if tap is not None:
+                tap(("touch", row, now_ns))
+            data = data_of.get(row)
+            if data is None:
+                data = self._row_data(row)
+            changed = 0
+            last = last_restore.get(row)
+            if last is not None:
+                elapsed = now_ns - last
+                if elapsed > retention_ns(bank, row):
+                    changed += retention.apply_decay(bank, row, elapsed, data)
+            slot = peek(bank, row)
+            if slot is not None:
+                if pool_order[slot]:
+                    changed += model.realize_flips(bank, row, data)
+                ledger.restore(slot)
+            if changed:
+                self._bump_version(row)
+            last_restore[row] = now_ns
 
     # ------------------------------------------------------------------
     # Commands
@@ -361,8 +392,7 @@ class Bank:
             for row in group:
                 if self.model.profile(self.index, row).partial_susceptible:
                     partial_rows.add(row)
-        for row in group:
-            self._restore_row(row, now_ns)
+        self._restore_rows(group, now_ns)
         if copy_src is not None:
             source_data = self._row_data(copy_src).copy()
             for row in group:
@@ -390,8 +420,16 @@ class Bank:
         merges the two addresses: every row matching both addresses on the
         bit positions where they agree (within an aligned 32-row block of
         one subarray) activates.  Addresses differing in k low bits thus
-        activate 2^k rows -- 2, 4, 8, 16, or 32.
+        activate 2^k rows -- 2, 4, 8, 16, or 32.  A pure function of the
+        geometry, memoized per bank on ``(row_a, row_b)``.
         """
+        groups = self._simra_groups
+        key = (row_a, row_b)
+        if key not in groups:
+            groups[key] = self._decode_group(row_a, row_b)
+        return groups[key]
+
+    def _decode_group(self, row_a: int, row_b: int) -> Optional[tuple[int, ...]]:
         if not self.geometry.same_subarray(row_a, row_b):
             return None
         if row_a == row_b:
@@ -429,6 +467,14 @@ class Bank:
         active = [row for row in group if row not in partial_rows]
         if not active:
             return
+        if self._frac.isdisjoint(active):
+            # Fixpoint: full rows holding identical bytes are their own
+            # majority and cannot tie, so the writes would change nothing
+            # (and data versions stay put, as for any unchanged row).
+            data = self._data  # the group's restore created every row
+            first = data[active[0]].tobytes()
+            if all(data[row].tobytes() == first for row in active[1:]):
+                return
         frac_rows = [row for row in active if row in self._frac]
         full_rows = [row for row in active if row not in self._frac]
         if full_rows:
@@ -523,10 +569,18 @@ class Bank:
         cover; mitigation hooks call it directly when they must act between
         REF commands (e.g. PRAC back-off serviced mid-tREFI).
         """
-        for aggressor in aggressors:
-            for distance in (1, 2):
-                for victim in self.geometry.neighbors(aggressor, distance):
-                    self._restore_row(victim, now_ns)
+        neighbors = self.geometry.neighbors
+        # a victim shared by two aggressors is restored once: its second
+        # restore at the same timestamp would be a no-op
+        self._restore_rows(
+            dict.fromkeys(
+                victim
+                for aggressor in aggressors
+                for distance in (1, 2)
+                for victim in neighbors(aggressor, distance)
+            ),
+            now_ns,
+        )
 
     def ref(self, now_ns: float) -> None:
         """Periodic refresh: TRR hook first, then the regular rotor."""
@@ -538,11 +592,12 @@ class Bank:
             self.targeted_refresh(self.trr.on_ref(self.index, now_ns), now_ns)
         refs_per_window = max(1, round(self.timing.tREFW / self.timing.tREFI))
         self._refresh_accumulator += self.geometry.rows_per_bank / refs_per_window
+        rotor = []
         while self._refresh_accumulator >= 1.0:
             self._refresh_accumulator -= 1.0
-            row = self._refresh_cursor % self.geometry.rows_per_bank
+            rotor.append(self._refresh_cursor % self.geometry.rows_per_bank)
             self._refresh_cursor += 1
-            self._restore_row(row, now_ns)
+        self._restore_rows(rotor, now_ns)
 
     # ------------------------------------------------------------------
     # Event emission

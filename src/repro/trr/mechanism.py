@@ -91,10 +91,10 @@ class SamplingTrr:
             # only the tail survives the FIFO; reconstruct it in place
             tail = np.arange(total - self.window, total) % rows.size
             buf.clear()
-            buf.extend(int(row) for row in rows[tail])
+            buf.extend(rows[tail].tolist())
         else:
             seq = rows if times == 1 else np.tile(rows, int(times))
-            buf.extend(int(row) for row in seq)
+            buf.extend(seq.tolist())
 
     def stream_horizon(self, bank: int, stream, left: int) -> int:
         """The whole step runs as one pass: the sampler only acts at REFs."""

@@ -1,6 +1,7 @@
 """Gauntlet harness: the acceptance matrix, determinism, blocked cells."""
 
 import functools
+import json
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.attack import gauntlet, run_cell, run_gauntlet, synthesize_attacks
 from repro.bender.host import DramBenderHost
 from repro.core.scale import ExperimentScale
 from repro.dram.vendors import make_module
+from tests.attack import record_golden
 
 SMOKE_BUDGET = ExperimentScale.smoke().attack_acts
 
@@ -159,3 +161,25 @@ class TestStreamedPracCells:
         )
         reference = run_cell("hynix-a-8gb", spec, mitigation, budget).to_row()
         assert fast == reference
+
+
+class TestGoldenRows:
+    """Bank-level drift pin: rows recorded by ``record_golden.py``."""
+
+    GOLDEN = json.loads(record_golden.PATH.read_text())
+
+    @pytest.mark.parametrize("attack", record_golden.ATTACKS)
+    def test_rows_match_golden(self, hynix_specs, attack):
+        digests = {
+            mitigation: record_golden.row_digest(
+                run_cell(
+                    record_golden.CONFIG, hynix_specs[attack], mitigation,
+                    record_golden.BUDGET,
+                ).to_row()
+            )
+            for mitigation in record_golden.MITIGATIONS
+        }
+        assert digests == {
+            mitigation: self.GOLDEN[f"{attack}/{mitigation}"]
+            for mitigation in record_golden.MITIGATIONS
+        }

@@ -56,6 +56,20 @@ def test_serial_campaign_writes_artifacts_manifest_and_events(tmp_path):
     assert sum(e.event == TASK_FINISHED for e in events) == 2
 
 
+def test_corrupt_artifact_reexecutes_and_is_quarantined(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    first = run_campaign(["table1"], scale=SMALL, store=store)
+    path = store.artifact_path(store.key("table1", SMALL))
+    path.write_text("garbage")
+    summary = run_campaign(["table1"], scale=SMALL, store=store)
+    assert summary.executed == 1 and summary.cached == 0
+    assert summary.results["table1"].to_dict() == first.results["table1"].to_dict()
+    assert path.with_name(path.name + ".corrupt").read_text() == "garbage"
+    assert store.get(store.key("table1", SMALL)) is not None
+    obs = json.loads(summary.obs_path.read_text())
+    assert obs["counters"]["store.corrupt"] == {"reason=json": 1}
+
+
 def test_parallel_matches_serial_byte_identical(tmp_path):
     """Satellite: --jobs 4 must be byte-identical to a serial run.
 

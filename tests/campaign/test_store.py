@@ -13,6 +13,7 @@ from repro.campaign import (
     subsystem_fingerprint,
 )
 from repro.experiments.base import ExperimentResult
+from repro.obs import Obs
 
 
 @pytest.fixture()
@@ -70,6 +71,37 @@ def test_corrupt_artifact_is_a_miss(store):
     store.put(key, _result(), elapsed=0.1)
     store.artifact_path(key).write_text("{truncated")
     assert store.get(key) is None
+
+
+@pytest.mark.parametrize("reason", ["json", "digest"])
+def test_corrupt_artifact_is_quarantined_and_counted(store, reason):
+    key = store.key("figXX", ExperimentScale.small())
+    store.put(key, _result(), elapsed=0.1)
+    path = store.artifact_path(key)
+    if reason == "json":
+        path.write_bytes(b"\xff\xfe not json")
+    else:
+        payload = json.loads(path.read_text())
+        payload["key"]["digest"] = "0" * 64
+        path.write_text(json.dumps(payload))
+    corrupt = path.read_bytes()
+    obs = Obs()
+    assert store.get_payload(key, obs) is None
+    assert not path.exists()
+    assert path.with_name(path.name + ".corrupt").read_bytes() == corrupt
+    assert obs.snapshot()["counters"] == {
+        "store.corrupt": {f"reason={reason}": 1}
+    }
+    # quarantined: the next lookup is a plain miss, counted nowhere
+    assert store.get_payload(key, obs) is None
+    assert obs.snapshot()["counters"]["store.corrupt"] == {f"reason={reason}": 1}
+    assert store.artifact_count() == 0
+
+
+def test_absent_artifact_is_a_plain_miss(store):
+    obs = Obs()
+    assert store.get_payload(store.key("figXX", ExperimentScale.small()), obs) is None
+    assert obs.snapshot()["counters"] == {}
 
 
 def test_prune_removes_stale_code_artifacts(store):

@@ -200,3 +200,202 @@ class TestRefresh:
             t += module.timing.tREFI
             bank.ref(t)
         assert bank._refresh_cursor >= module.geometry.rows_per_bank
+
+
+# ----------------------------------------------------------------------
+# Fused restore, majority fixpoint and deduplicated targeted refresh,
+# each checked against the per-row code it replaced
+# ----------------------------------------------------------------------
+def _reference_restore(bank, row, now_ns):
+    """The per-row restore ``Bank._restore_rows`` fuses (the oracle)."""
+    if bank.probe_tap is not None:
+        bank.probe_tap(("touch", row, now_ns))
+    data = bank._row_data(row)
+    changed = 0
+    last = bank._last_restore.get(row)
+    if last is not None:
+        elapsed = now_ns - last
+        changed += bank.retention.apply_decay(bank.index, row, elapsed, data)
+    changed += bank.model.realize_flips(bank.index, row, data)
+    bank.model.restore_row(bank.index, row)
+    if changed:
+        bank._bump_version(row)
+    bank._last_restore[row] = now_ns
+
+
+def _reference_majority(bank, group, partial_rows):
+    """The unconditional MAJ write ``_apply_simra_charge_sharing`` replaced."""
+    active = [row for row in group if row not in partial_rows]
+    if not active:
+        return
+    frac_rows = [row for row in active if row in bank._frac]
+    full_rows = [row for row in active if row not in bank._frac]
+    if full_rows:
+        stack = np.stack([np.unpackbits(bank._row_data(row)) for row in full_rows])
+        ones = stack.sum(axis=0).astype(np.float64)
+    else:
+        ones = np.zeros(bank.geometry.columns, dtype=np.float64)
+    ones += 0.5 * len(frac_rows)
+    majority = np.where(ones * 2 > len(active), 1, 0).astype(np.uint8)
+    ties = ones * 2 == len(active)
+    if ties.any():
+        bank._tie_counter += 1
+        rng = np.random.default_rng(
+            (bank.model.serial * 0x9E3779B1 + bank._tie_counter) & 0xFFFFFFFF
+        )
+        majority[ties] = rng.integers(0, 2, int(ties.sum()), dtype=np.uint8)
+    packed = np.packbits(majority)
+    for row in active:
+        bank._row_data(row)[:] = packed
+        bank._bump_version(row)
+        bank._frac.discard(row)
+
+
+#: one restore late enough that some of these rows outlived their
+#: retention time (1.1-3.6 s on hynix-a-8gb bank 0) and others did not
+_LATE_NS = 3.0e9
+
+
+def _damaged_bank():
+    """A fresh bank whose rows 44-57 and 200 hold data and whose rows
+    around aggressors 50 and 52 carry enough damage to flip."""
+    bank = make_module("hynix-a-8gb").banks[0]
+    for row in (*range(44, 58), 200):
+        _fill(bank, row, 0x55, 0.0)
+    bank.event_times = 300_000
+    for aggressor in (50, 52):
+        bank.act(aggressor, 1000.0)
+        bank.pre(1036.0)
+        bank.flush(1100.0)
+    bank.event_times = 1
+    return bank
+
+
+def _tap(bank):
+    taps = []
+    bank.probe_tap = taps.append
+    return taps
+
+
+def _restore_state(bank, rows):
+    led = bank.model.ledger
+    state = {}
+    for row in rows:
+        slot = led.peek(bank.index, row)
+        state[row] = (
+            bank._data[row].tobytes() if row in bank._data else None,
+            bank._data_version.get(row),
+            bank._last_restore.get(row),
+            None if slot is None else (
+                led.damage[slot].tolist(), list(led.pool_order[slot]),
+                led.flips[slot].tolist(), sorted(led.flipped[slot]),
+            ),
+        )
+    return state
+
+
+class TestFusedRestore:
+    # realized flips inside retention (49), flips and decay (51, 53), decay
+    # of a slot below its flip threshold (48, 50), decay without a slot
+    # (46, 200), neither (54), a row never written (300), and a repeat
+    ROWS = (49, 51, 48, 53, 54, 46, 200, 300, 52, 50, 49)
+
+    def test_matches_per_row_reference(self):
+        fused, reference = _damaged_bank(), _damaged_bank()
+        before = _restore_state(fused, self.ROWS)
+        fused_taps, reference_taps = _tap(fused), _tap(reference)
+        fused._restore_rows(self.ROWS, _LATE_NS)
+        for row in self.ROWS:
+            _reference_restore(reference, row, _LATE_NS)
+        after = _restore_state(fused, self.ROWS)
+        assert after == _restore_state(reference, self.ROWS)
+        assert fused_taps == reference_taps
+        assert [tap[1] for tap in fused_taps] == list(self.ROWS)
+        # the scenario is not vacuous: flips realized, retention decayed
+        changed = {row for row in self.ROWS if after[row][1] != before[row][1]}
+        assert {46, 48, 49, 50, 51, 53, 200} <= changed
+        assert 54 not in changed
+
+
+class TestTargetedRefreshDedup:
+    def test_matches_duplicated_sequence(self):
+        # aggressors 50 and 52 share victims 51 (distance 1) and 50/52
+        # (each other's distance-2 neighbour)
+        aggressors = (50, 52)
+        fused, reference = _damaged_bank(), _damaged_bank()
+        fused_taps, reference_taps = _tap(fused), _tap(reference)
+        fused.targeted_refresh(aggressors, _LATE_NS)
+        for aggressor in aggressors:
+            for distance in (1, 2):
+                for victim in reference.geometry.neighbors(aggressor, distance):
+                    _reference_restore(reference, victim, _LATE_NS)
+        rows = tuple(range(44, 58))
+        assert _restore_state(fused, rows) == _restore_state(reference, rows)
+        first_seen = list(dict.fromkeys(reference_taps))
+        assert len(first_seen) < len(reference_taps)
+        assert fused_taps == first_seen
+
+
+class TestMajorityFixpoint:
+    GROUP = (0, 2, 4, 6)
+
+    @staticmethod
+    def _bank(contents, frac=()):
+        bank = make_module("hynix-a-8gb").banks[0]
+        for row, byte in contents.items():
+            _fill(bank, row, byte, 0.0)
+        bank._frac.update(frac)
+        return bank
+
+    @staticmethod
+    def _observed(bank, rows):
+        return (
+            {row: bank._data[row].tobytes() for row in rows},
+            sorted(bank._frac), bank._tie_counter,
+        )
+
+    def test_identical_rows_in_a_simra_op_keep_versions(self):
+        bank = self._bank({row: 0x3C for row in self.GROUP})
+        versions = dict(bank._data_version)
+        t = 100.0
+        bank.act(0, t)
+        bank.pre(t + 3.0)
+        bank.act(6, t + 6.0)
+        bank.pre(t + 42.0)
+        bank.flush(t + 200.0)
+        assert bank.stats["simra_ops"] == 1
+        assert all((bank.backdoor_read(row) == 0x3C).all() for row in self.GROUP)
+        assert bank._data_version == versions
+
+    @pytest.mark.parametrize(
+        "group, contents, frac, partial",
+        [
+            # identical rows: the fixpoint, nothing written
+            (GROUP, {row: 0xA5 for row in GROUP}, (), ()),
+            # two rows, one differing: every differing bit ties
+            ((0, 1), {0: 0xF0, 1: 0x0F}, (), ()),
+            # three agree, one differs: no ties
+            (GROUP, {0: 0xA5, 2: 0xA5, 4: 0xA5, 6: 0x5A}, (), ()),
+            # identical bytes, but one row holds fractional charge
+            (GROUP, {row: 0xA5 for row in GROUP}, (4,), ()),
+            # two fractional rows: every bitline ties
+            ((0, 1), {0: 0xFF, 1: 0xFF}, (0, 1), ()),
+            # a partial row sits out; the active rows still differ
+            (GROUP, {0: 0xA5, 2: 0x5A, 4: 0xA5, 6: 0x00}, (), (6,)),
+            # a differing partial row does not block the fixpoint
+            (GROUP, {0: 0xA5, 2: 0xA5, 4: 0xA5, 6: 0x00}, (), (6,)),
+        ],
+    )
+    def test_matches_unconditional_majority(self, group, contents, frac, partial):
+        fused = self._bank(contents, frac)
+        reference = self._bank(contents, frac)
+        versions = dict(fused._data_version)
+        fused._apply_simra_charge_sharing(group, set(partial))
+        _reference_majority(reference, group, set(partial))
+        assert self._observed(fused, group) == self._observed(reference, group)
+        active = [row for row in group if row not in partial]
+        fixpoint = not frac and len({contents[row] for row in active}) == 1
+        if fixpoint:
+            assert fused._data_version == versions
+        else:
+            assert fused._data_version == reference._data_version
